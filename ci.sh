@@ -16,6 +16,15 @@ cargo build --release
 # widens coverage, never changes expectations.
 GNOC_JOBS=2 cargo test -q
 
+echo "== gnocbench: every workload's outputs against goldens.json (tiny, one pass) =="
+# One pass per workload at the tiny size: run.py checks every simulated
+# output digest against gnocbench/goldens.json and exits 1 on a mismatch,
+# so a change to what the simulator computes fails here, not only in the
+# benchmark. Timing is not judged.
+for workload in noc_loaded fault_soak paper_analytic serve_mixed; do
+    python3 gnocbench/run.py --workload "$workload" --size tiny --seconds 0 > /dev/null
+done
+
 echo "== bench: serial-vs-parallel wall time (BENCH_par.json) =="
 cargo run --release -q -p gnoc-bench --bin bench_par -- BENCH_par.json
 

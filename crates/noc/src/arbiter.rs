@@ -24,6 +24,12 @@ pub enum ArbiterKind {
     AgeBased,
 }
 
+/// Most inputs one arbiter can serve: the round-robin rotation keys inputs
+/// modulo this, so two inputs this far apart would share a key and the
+/// lower one would win every contest between them. Mesh configurations are
+/// validated against it (`NUM_PORTS * vcs` inputs per output).
+pub(crate) const MAX_INPUTS: usize = 64;
+
 /// Per-output arbitration state.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Arbiter {
@@ -49,7 +55,10 @@ impl Arbiter {
     }
 
     /// Picks a winner among `candidates` — `(input index, packet birth)`
-    /// pairs — or `None` when empty. Updates round-robin state.
+    /// pairs, every index below 64 — or `None` when empty.
+    /// Updates round-robin state. The winner does not depend on the order
+    /// of `candidates`: round-robin keys on the input index alone, and age
+    /// takes the minimum `(birth, input)`.
     pub fn pick(&mut self, candidates: &[(usize, u64)]) -> Option<usize> {
         if candidates.is_empty() {
             return None;
@@ -58,7 +67,9 @@ impl Arbiter {
             ArbiterKind::RoundRobin => {
                 // First candidate at or after the rotating pointer. Seeding
                 // the scan with candidates[0] keeps this branch panic-free.
-                let key_of = |input: usize| input.wrapping_sub(self.rr_next).wrapping_add(64) % 64;
+                let key_of = |input: usize| {
+                    input.wrapping_sub(self.rr_next).wrapping_add(MAX_INPUTS) % MAX_INPUTS
+                };
                 let mut w = candidates[0].0;
                 let mut best_key = key_of(w);
                 for &(input, _) in &candidates[1..] {
@@ -68,7 +79,7 @@ impl Arbiter {
                         w = input;
                     }
                 }
-                self.rr_next = (w + 1) % 64;
+                self.rr_next = (w + 1) % MAX_INPUTS;
                 w
             }
             // `min_by_key` is `Some` whenever candidates is non-empty, which

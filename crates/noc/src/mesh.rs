@@ -7,7 +7,7 @@
 //! age-based), credit-style buffer back-pressure, and per-node throughput and
 //! latency statistics.
 
-use crate::arbiter::{Arbiter, ArbiterKind};
+use crate::arbiter::{Arbiter, ArbiterKind, MAX_INPUTS};
 use crate::error::{LossReason, NocError};
 use crate::packet::{NodeId, Packet, PacketClass};
 use gnoc_faults::{Direction, FaultPlan, FaultPlanError, LinkFaultKind};
@@ -104,8 +104,39 @@ impl MeshConfig {
         if self.vcs == 0 {
             return Err(NocError::Config("need at least one virtual channel"));
         }
+        if NUM_PORTS * self.vcs > MAX_INPUTS {
+            return Err(NocError::Config(
+                "at most 12 virtual channels: an output arbitrates 5 ports x vcs inputs, 64 at most",
+            ));
+        }
         Ok(())
     }
+}
+
+/// One phase-1 grant: the head of `inputs[in_port][vc]` at `router` leaves
+/// through `out_port` this cycle.
+#[derive(Debug, Clone, Copy)]
+struct Move {
+    router: usize,
+    in_port: usize,
+    vc: usize,
+    out_port: usize,
+}
+
+/// Per-cycle working state of [`Mesh::step`], owned by the mesh and reused
+/// so the busy path makes no heap allocation. Sized once from the geometry
+/// and cleared before each reuse.
+#[derive(Debug, Clone, Default)]
+struct StepScratch {
+    /// This cycle's grants, in `(router, output)` order.
+    moves: Vec<Move>,
+    /// Candidates of the router being arbitrated, one bucket per output:
+    /// `(input index, birth)` in ascending `(in_port, vc)` order.
+    buckets: [Vec<(usize, u64)>; NUM_PORTS],
+    /// Granted inputs per router as a bitmask over the input index
+    /// `in_port * vcs + vc` (fits: [`MeshConfig::validate`] caps it at 64).
+    /// Filled only while a flight recorder is attached.
+    granted: Vec<u64>,
 }
 
 #[derive(Debug, Clone)]
@@ -343,6 +374,10 @@ impl Clone for TapSlot {
 pub struct Mesh {
     cfg: MeshConfig,
     routers: Vec<Router>,
+    /// `(x, y)` of every node, so routing and neighbour lookups on the
+    /// step's hot path never divide.
+    xy: Vec<(usize, usize)>,
+    scratch: StepScratch,
     cycle: u64,
     next_id: u64,
     ejection_enabled: Vec<bool>,
@@ -406,7 +441,7 @@ impl Mesh {
     /// # Errors
     ///
     /// Returns [`NocError::Config`] when a dimension, the buffer size, or
-    /// the VC count is zero.
+    /// the VC count is zero, or the VC count exceeds what an arbiter keys.
     pub fn try_new(cfg: MeshConfig) -> Result<Self, NocError> {
         cfg.validate()?;
         let n = cfg.num_nodes();
@@ -415,9 +450,17 @@ impl Mesh {
             arbiters: (0..NUM_PORTS).map(|_| Arbiter::new(cfg.arbiter)).collect(),
             output_busy_until: vec![0; NUM_PORTS],
         };
+        let max_inputs = NUM_PORTS * cfg.vcs;
+        let scratch = StepScratch {
+            moves: Vec::with_capacity(n * NUM_PORTS),
+            buckets: std::array::from_fn(|_| Vec::with_capacity(max_inputs)),
+            granted: vec![0; n],
+        };
         Ok(Self {
             cfg,
             routers: vec![router; n],
+            xy: (0..n).map(|i| (i % cfg.width, i / cfg.width)).collect(),
+            scratch,
             cycle: 0,
             next_id: 0,
             ejection_enabled: vec![true; n],
@@ -1046,7 +1089,7 @@ impl Mesh {
 
     /// The virtual channel a packet class rides: requests on VC 0, replies on
     /// the highest VC (identical when only one VC is configured).
-    fn vc_of(&self, class: PacketClass) -> usize {
+    pub(crate) fn vc_of(&self, class: PacketClass) -> usize {
         match class {
             PacketClass::Request => 0,
             PacketClass::Reply => self.cfg.vcs - 1,
@@ -1054,7 +1097,7 @@ impl Mesh {
     }
 
     fn coords(&self, node: usize) -> (usize, usize) {
-        (node % self.cfg.width, node / self.cfg.width)
+        self.xy[node]
     }
 
     /// Dimension-ordered routing: returns the output port at `node` for a
@@ -1486,14 +1529,6 @@ impl Mesh {
     /// ever called with a non-empty candidate list and always grants, so a
     /// quiet cycle makes zero `pick` calls under both engines.
     fn step_inner(&mut self) -> bool {
-        #[derive(Clone, Copy)]
-        struct Move {
-            router: usize,
-            in_port: usize,
-            vc: usize,
-            out_port: usize,
-        }
-
         let vcs = self.cfg.vcs;
         // The recorder, like the fault state, is taken out of `self` so the
         // instrumentation below can borrow the routers freely.
@@ -1516,91 +1551,98 @@ impl Mesh {
             }
         }
 
-        // Phase 1: arbitration decisions on a consistent snapshot.
-        let mut moves: Vec<Move> = Vec::new();
-        // Reserved downstream slots this cycle: (router, in_port, vc) -> count.
-        let mut reserved = vec![vec![[0u8; NUM_PORTS]; vcs]; self.routers.len()];
-
+        // Phase 1: arbitration decisions on a consistent snapshot, one pass
+        // per router: each queue head is routed once and, if its output is
+        // open and the downstream buffer on its VC has room, appended to
+        // that output's bucket; then each non-empty bucket is arbitrated in
+        // output order. This grants exactly what arbitrating output by
+        // output (re-scanning every head per output) grants, because:
+        //
+        // 1. credits need no per-cycle reservation: the input buffer
+        //    `(neighbour(r, o), entry(o))` is fed by output `o` of router
+        //    `r` alone, and that output grants at most one packet per
+        //    cycle, so no grant changes a credit another decision reads;
+        // 2. `Arbiter::pick` does not depend on candidate order, and the
+        //    buckets keep the ascending `(in_port, vc)` order regardless;
+        // 3. grants are appended in `(router, output)` order, so phase 2's
+        //    pops, pushes, and fault-RNG draws happen in the same order.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.moves.clear();
+        if rec.is_some() {
+            scratch.granted.fill(0);
+        }
         for r in 0..self.routers.len() {
             if faults.as_deref().is_some_and(|f| self.is_stalled(f, r)) {
                 continue;
             }
-            for out in 0..NUM_PORTS {
-                if self.routers[r].output_busy_until[out] > self.cycle {
-                    continue;
-                }
-                if out == LOCAL && !self.ejection_enabled[r] {
-                    continue;
-                }
-                if out != LOCAL
-                    && faults
-                        .as_deref()
-                        .is_some_and(|f| f.link_dead[r * NUM_PORTS + out])
-                {
-                    continue;
-                }
-                // Candidates: per-(port, vc) queue heads routed to `out` with
-                // downstream credit on the packet's own VC.
-                let mut candidates: Vec<(usize, u64)> = Vec::new();
-                for in_port in 0..NUM_PORTS {
-                    #[allow(clippy::needless_range_loop)] // vc also indexes downstream state
-                    for vc in 0..vcs {
-                        let Some(head) = self.routers[r].inputs[in_port][vc].front() else {
+            let router = &self.routers[r];
+            for (in_port, queues) in router.inputs.iter().enumerate() {
+                for (vc, queue) in queues.iter().enumerate() {
+                    let Some(head) = queue.front() else {
+                        continue;
+                    };
+                    let Some(out) =
+                        self.route_current(faults.as_deref(), r, in_port, head.dst.index())
+                    else {
+                        continue;
+                    };
+                    if router.output_busy_until[out] > self.cycle {
+                        continue;
+                    }
+                    if out == LOCAL {
+                        if !self.ejection_enabled[r] {
                             continue;
-                        };
-                        if self.route_current(faults.as_deref(), r, in_port, head.dst.index())
-                            != Some(out)
+                        }
+                    } else {
+                        if faults
+                            .as_deref()
+                            .is_some_and(|f| f.link_dead[r * NUM_PORTS + out])
                         {
                             continue;
                         }
-                        if out != LOCAL {
-                            let down = self.neighbour(r, out);
-                            let entry = Self::entry_port(out);
-                            let occupied = self.routers[down].inputs[entry][vc].len()
-                                + reserved[down][vc][entry] as usize;
-                            if occupied >= self.cfg.buffer_packets {
-                                continue;
-                            }
-                        }
-                        candidates.push((in_port * vcs + vc, head.birth));
-                    }
-                }
-                if candidates.is_empty() {
-                    continue;
-                }
-                if let Some(winner) = self.routers[r].arbiters[out].pick(&candidates) {
-                    let (in_port, vc) = (winner / vcs, winner % vcs);
-                    if out != LOCAL {
+                        // Downstream credit on the packet's own VC.
                         let down = self.neighbour(r, out);
-                        reserved[down][vc][Self::entry_port(out)] += 1;
+                        let entry = Self::entry_port(out);
+                        if self.routers[down].inputs[entry][vc].len() >= self.cfg.buffer_packets {
+                            continue;
+                        }
                     }
-                    moves.push(Move {
-                        router: r,
-                        in_port,
-                        vc,
-                        out_port: out,
-                    });
+                    scratch.buckets[out].push((in_port * vcs + vc, head.birth));
                 }
+            }
+            for (out, bucket) in scratch.buckets.iter_mut().enumerate() {
+                // An empty bucket yields `None` and leaves the arbiter as it was.
+                let Some(winner) = self.routers[r].arbiters[out].pick(bucket) else {
+                    continue;
+                };
+                bucket.clear();
+                if rec.is_some() {
+                    scratch.granted[r] |= 1 << winner;
+                }
+                scratch.moves.push(Move {
+                    router: r,
+                    in_port: winner / vcs,
+                    vc: winner % vcs,
+                    out_port: out,
+                });
             }
         }
 
         // Stall attribution: a read-only classification pass over the same
         // snapshot phase 1 arbitrated on (nothing has been popped or pushed
-        // yet, and reservations for a head's own target are made only after
-        // its arbitration), so each waiting queue head is charged exactly
-        // one cause per cycle. The decision loop above is untouched — the
+        // yet), so each waiting queue head is charged exactly one cause per
+        // cycle. The decision loop above is untouched — the
         // recorder can observe but never perturb.
         if let Some(rec) = rec.as_deref_mut() {
-            let winners: HashSet<(usize, usize, usize)> =
-                moves.iter().map(|m| (m.router, m.in_port, m.vc)).collect();
             for r in 0..self.routers.len() {
+                let granted = scratch.granted[r];
                 for in_port in 0..NUM_PORTS {
                     #[allow(clippy::needless_range_loop)] // vc also indexes downstream state
                     for vc in 0..vcs {
                         let Some(head) = self.routers[r].inputs[in_port][vc].front() else {
                             continue;
                         };
-                        if winners.contains(&(r, in_port, vc)) {
+                        if granted & (1 << (in_port * vcs + vc)) != 0 {
                             continue;
                         }
                         let kind = self.classify_stall(faults.as_deref(), r, in_port, vc, head);
@@ -1612,11 +1654,11 @@ impl Mesh {
 
         // Phase 2: apply moves. The move list order is deterministic, so the
         // per-move fault draws below consume the plan RNG reproducibly.
-        let moved = !moves.is_empty();
+        let moved = !scratch.moves.is_empty();
         if moved {
             self.last_progress = self.cycle;
         }
-        for m in moves {
+        for &m in &scratch.moves {
             // Invariant: arbitration granted a queue head it just observed.
             let Some(packet) = self.routers[m.router].inputs[m.in_port][m.vc].pop_front() else {
                 debug_assert!(false, "arbitration winner vanished before apply");
@@ -1683,6 +1725,7 @@ impl Mesh {
             }
         }
 
+        self.scratch = scratch;
         self.faults = faults;
         self.recorder = rec;
         self.cycle += 1;
@@ -1948,6 +1991,15 @@ mod tests {
             route_order: RouteOrder::Xy,
             vcs: 1,
         })
+    }
+
+    #[test]
+    fn too_many_vcs_for_the_arbiter_are_rejected() {
+        // 5 ports x 13 VCs = 65 inputs: round-robin keys are taken modulo
+        // 64, so inputs 0 and 64 would alias and input 64 would starve.
+        let cfg = |vcs| MeshConfig::paper_6x6(ArbiterKind::RoundRobin).with_vcs(vcs);
+        assert!(matches!(Mesh::try_new(cfg(13)), Err(NocError::Config(_))));
+        assert!(Mesh::try_new(cfg(12)).is_ok());
     }
 
     #[test]

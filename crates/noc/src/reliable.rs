@@ -201,6 +201,11 @@ pub struct ReliableMesh {
     by_packet: HashMap<u64, usize>,
     /// Transfers waiting to (re)inject, in deterministic FIFO order.
     pending: VecDeque<usize>,
+    /// [`ReliableMesh::inject_pending`]'s reused scratch: the transfers it
+    /// puts back, and which `src * vcs + vc` injection queues refused
+    /// during the current call.
+    requeue: VecDeque<usize>,
+    refused: Vec<bool>,
     stats: ReliabilityStats,
     /// Unresolved transfer count.
     outstanding: usize,
@@ -218,12 +223,15 @@ pub struct ReliableMesh {
 impl ReliableMesh {
     /// Wraps an existing mesh (fault plan already applied, if any).
     pub fn new(mesh: Mesh, cfg: RetryConfig) -> Self {
+        let queues = mesh.config().num_nodes() * mesh.config().vcs;
         Self {
             mesh,
             cfg,
             transfers: Vec::new(),
             by_packet: HashMap::new(),
             pending: VecDeque::new(),
+            requeue: VecDeque::new(),
+            refused: vec![false; queues],
             stats: ReliabilityStats::default(),
             outstanding: 0,
             next_deadline: u64::MAX,
@@ -443,8 +451,18 @@ impl ReliableMesh {
             .min(self.cfg.max_timeout_cycles)
     }
 
+    /// Offers every pending transfer to its source's injection queue, in
+    /// FIFO order; refused ones keep their place. Within one call queues
+    /// only fill, so once a `(src, vc)` queue refuses, later transfers for
+    /// it are put back without asking again — the same outcome, without
+    /// re-offering hundreds of parked transfers to a full queue each cycle.
     fn inject_pending(&mut self) {
-        let mut still = VecDeque::new();
+        if self.pending.is_empty() {
+            return;
+        }
+        let vcs = self.mesh.config().vcs;
+        self.refused.fill(false);
+        let mut still = std::mem::take(&mut self.requeue);
         while let Some(idx) = self.pending.pop_front() {
             // A queued transfer may have been resolved (late duplicate
             // delivery) or re-queued twice; only genuinely pending ones go.
@@ -452,6 +470,13 @@ impl ReliableMesh {
                 continue;
             }
             let t = &self.transfers[idx];
+            let queue = t.src.index() * vcs + self.mesh.vc_of(t.class);
+            // `get`: an out-of-range source falls through to the mesh's
+            // own range assertion.
+            if self.refused.get(queue) == Some(&true) {
+                still.push_back(idx);
+                continue;
+            }
             match self
                 .mesh
                 .try_inject_tracked(t.src, t.dst, t.flits, t.class, t.first_submit)
@@ -467,10 +492,15 @@ impl ReliableMesh {
                         self.next_deadline = deadline;
                     }
                 }
-                None => still.push_back(idx),
+                None => {
+                    self.refused[queue] = true;
+                    still.push_back(idx);
+                }
             }
         }
-        self.pending = still;
+        // `pending` is drained; it becomes next call's requeue buffer.
+        std::mem::swap(&mut self.pending, &mut still);
+        self.requeue = still;
     }
 
     /// Requeues transfer `idx` for another attempt, or resolves it lost when
