@@ -9,6 +9,21 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== one source: hash constants only in the hash module =="
+# The splitmix64 gamma and the FNV-1a offset basis are defined once, in
+# crates/topo/src/hash.rs; either literal anywhere else under crates/*/src
+# is a re-forked stream or hash. tests/, crates/*/tests and gnocbench/ keep
+# independent reference copies on purpose and are not scanned. Underscore
+# digit separators are ignored when matching.
+hex_pat() { echo "0x$(echo "$1" | sed 's/./&_*/g')"; }
+forks=$(grep -rliE "$(hex_pat 9e3779b97f4a7c15)|$(hex_pat cbf29ce484222325)" \
+    crates/*/src --include='*.rs' | grep -vx 'crates/topo/src/hash.rs' || true)
+if [ -n "$forks" ]; then
+    echo "error: hash constant copied outside crates/topo/src/hash.rs in:" >&2
+    echo "$forks" >&2
+    exit 1
+fi
+
 echo "== tier-1: cargo build --release && cargo test -q (GNOC_JOBS=2) =="
 cargo build --release
 # GNOC_JOBS=2 routes every env-resolved worker pool through the parallel

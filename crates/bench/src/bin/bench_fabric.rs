@@ -20,7 +20,7 @@
 //! deterministic.
 
 use gnoc_core::faults::{FabricLinkFault, LinkFaultKind};
-use gnoc_core::noc::{NodeId, PacketClass};
+use gnoc_core::soak;
 use gnoc_core::{
     FabricConfig, FabricHealthConfig, FabricHealthMonitor, FabricSim, FabricTopology, FaultPlan,
 };
@@ -49,42 +49,6 @@ struct Row {
     wall_ms: u64,
 }
 
-/// The same splitmix64 traffic recipe as `gnoc fabric`: uniform-random
-/// device and node endpoints, varied packet lengths, seed-deterministic.
-fn submit_traffic(sim: &mut FabricSim, seed: u64) {
-    let nodes = 25u64;
-    let devs = u64::from(DEVICES);
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    let mut submitted = 0usize;
-    while submitted < TRANSFERS {
-        let src_dev = (next() % devs) as u32;
-        let dst_dev = (next() % devs) as u32;
-        let src = (next() % nodes) as u32;
-        let dst = (next() % nodes) as u32;
-        if src_dev == dst_dev && src == dst {
-            continue;
-        }
-        let flits = 1 + (next() % 4) as u32;
-        sim.submit(
-            src_dev,
-            NodeId(src),
-            dst_dev,
-            NodeId(dst),
-            flits,
-            PacketClass::Request,
-        )
-        .expect("in-range endpoints");
-        submitted += 1;
-    }
-}
-
 fn row_from(bench: String, topology: FabricTopology, sim: &FabricSim, wall_ms: u64) -> Row {
     let s = sim.stats();
     Row {
@@ -105,7 +69,7 @@ fn row_from(bench: String, topology: FabricTopology, sim: &FabricSim, wall_ms: u
 fn soak_row(topology: FabricTopology) -> Row {
     let start = Instant::now();
     let mut sim = FabricSim::new(FabricConfig::new(DEVICES, topology)).expect("valid config");
-    submit_traffic(&mut sim, 11);
+    soak::submit_fabric_soak(&mut sim, 11, TRANSFERS).expect("in-range endpoints");
     assert!(sim.run_until_quiescent(SOAK_BUDGET), "benign soak quiesces");
     let wall_ms = start.elapsed().as_millis() as u64;
     let row = row_from(format!("soak_{topology}_d4"), topology, &sim, wall_ms);
@@ -133,7 +97,7 @@ fn failover_row() -> Row {
     let start = Instant::now();
     let mut sim = FabricSim::with_faults(FabricConfig::new(DEVICES, topology), &dead_link_plan())
         .expect("plan fits the ring");
-    submit_traffic(&mut sim, 11);
+    soak::submit_fabric_soak(&mut sim, 11, TRANSFERS).expect("in-range endpoints");
     assert!(
         sim.run_until_quiescent(SOAK_BUDGET),
         "failover soak quiesces"

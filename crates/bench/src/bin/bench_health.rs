@@ -19,7 +19,6 @@
 //! `wall_ms` is machine-dependent; every other column is deterministic.
 
 use gnoc_core::health::run_slice_detection_for_spec;
-use gnoc_core::noc::RouteOrder;
 use gnoc_core::{
     spec_for_preset, ArbiterKind, FaultGenConfig, FaultPlan, HealthConfig, MeshConfig, RetryConfig,
     SelfHealingMesh,
@@ -49,14 +48,7 @@ fn link_row(dead_frac: f64) -> Row {
         ..FaultGenConfig::benign(7, 6, 6)
     };
     let plan = FaultPlan::try_generate(&cfg).expect("benign-derived config is valid");
-    let mesh_cfg = MeshConfig {
-        width: 6,
-        height: 6,
-        buffer_packets: 4,
-        arbiter: ArbiterKind::RoundRobin,
-        route_order: RouteOrder::Xy,
-        vcs: 1,
-    };
+    let mesh_cfg = MeshConfig::paper_6x6(ArbiterKind::RoundRobin);
     let start = Instant::now();
     let mut healer = SelfHealingMesh::new(
         mesh_cfg,

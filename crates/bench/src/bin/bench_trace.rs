@@ -21,7 +21,7 @@
 //! Rows `{schema, bench, rep, wall_us}` go to `BENCH_trace.json` (or the
 //! path given as the first argument). Only `wall_us` is machine-dependent.
 
-use gnoc_core::noc::{NodeId, PacketClass};
+use gnoc_core::soak;
 use gnoc_core::trace::{validate_stream, TraceHeader, TraceReader, TraceTap};
 use gnoc_core::trace_digest;
 use gnoc_core::{ArbiterKind, FaultPlan, MeshConfig, ReliableMesh, RetryConfig};
@@ -41,28 +41,6 @@ struct Row {
     wall_us: u64,
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn submit_soak(rm: &mut ReliableMesh, nodes: u64) {
-    let mut state = SEED;
-    let mut submitted = 0usize;
-    while submitted < TRANSFERS {
-        let src = (splitmix(&mut state) % nodes) as u32;
-        let dst = (splitmix(&mut state) % nodes) as u32;
-        if src == dst {
-            continue;
-        }
-        rm.submit(NodeId(src), NodeId(dst), 1, PacketClass::Request);
-        submitted += 1;
-    }
-}
-
 /// One soak; returns (wall_us, canonical stats line, trace bytes if taped).
 fn run_soak(tap: bool) -> (u64, String, Option<Vec<u8>>) {
     let cfg = MeshConfig::paper_6x6(ArbiterKind::RoundRobin);
@@ -80,7 +58,7 @@ fn run_soak(tap: bool) -> (u64, String, Option<Vec<u8>>) {
         );
         rm.attach_trace_tap(TraceTap::in_memory(&header));
     }
-    submit_soak(&mut rm, (cfg.width * cfg.height) as u64);
+    soak::submit_mesh_soak(&mut rm, SEED, TRANSFERS);
     assert!(rm.run_until_quiescent(2_000_000), "soak quiesces");
     let line = trace_digest::mesh_stats_line(&rm).expect("stats serialize");
     let bytes = rm.take_trace_tap().map(|t| {

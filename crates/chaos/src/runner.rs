@@ -11,9 +11,11 @@ use crate::shrink::{ddmin, decompose};
 use crate::ChaosError;
 use gnoc_core::faults::LinkFaultKind;
 use gnoc_core::health::run_slice_detection_for_spec;
-use gnoc_core::noc::{NodeId, PacketClass, RouteOrder};
+use gnoc_core::noc::{NodeId, PacketClass};
 use gnoc_core::telemetry::TelemetryHandle;
+use gnoc_core::topo::hash::SplitMix64;
 use gnoc_core::trace::{fnv1a64, from_hex, to_hex, TraceHeader, TraceReader, TraceTap};
+use gnoc_core::trace_digest;
 use gnoc_core::{
     device_for_preset, spec_for_preset, ArbiterKind, CheckpointedCampaign, FabricConfig,
     FabricHealthConfig, FabricHealthMonitor, FabricSim, FaultPlan, HealthConfig, MeshConfig,
@@ -52,27 +54,52 @@ const SLICE_DETECTION_WINDOWS: u64 = 16;
 /// 300-cycle margin) and the leaky bucket needs two failing windows.
 const SLICE_DETECTION_WINDOW_BOUND: u64 = 3;
 
-/// A tiny splitmix64 stream for deterministic traffic generation.
-struct SplitMix(u64);
+/// Salt xored into an iteration seed for its traffic stream.
+const TRAFFIC_SALT: u64 = 0x6368_616f_735f_7278;
 
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+/// An iteration's traffic stream: the shared splitmix64 on the salted seed.
+fn traffic_stream(seed: u64) -> SplitMix64 {
+    SplitMix64::new(seed ^ TRAFFIC_SALT)
+}
+
+/// A uniform node and a distinct uniform partner among `n` nodes.
+fn distinct_endpoints(rng: &mut SplitMix64, n: u64) -> (u64, u64) {
+    let src = rng.next() % n;
+    (src, (src + 1 + rng.next() % (n - 1)) % n)
+}
+
+/// Even-numbered transfers are requests, odd ones replies.
+fn alternating_class(i: u32) -> PacketClass {
+    if i.is_multiple_of(2) {
+        PacketClass::Request
+    } else {
+        PacketClass::Reply
     }
 }
 
-/// FNV-1a digest of a fault plan's canonical JSON — the identity a trace
-/// header pins so a replay against the wrong plan is refused, not silently
-/// divergent. `0` when the plan cannot serialize (the soak would have
-/// rejected such a plan long before recording).
-fn plan_fingerprint(plan: &FaultPlan) -> u64 {
-    plan.to_json()
-        .map(|j| fnv1a64(j.as_bytes()))
-        .unwrap_or_default()
+/// The single-die soak's transfers: `cfg.transfers` of them, with distinct
+/// endpoints, 1–4 flits, and alternating classes.
+fn mesh_transfers(
+    cfg: &ChaosConfig,
+    seed: u64,
+) -> impl Iterator<Item = (NodeId, NodeId, u32, PacketClass)> {
+    let n = u64::from(cfg.width) * u64::from(cfg.height);
+    let mut rng = traffic_stream(seed);
+    (0..cfg.transfers).map(move |i| {
+        let (src, dst) = distinct_endpoints(&mut rng, n);
+        let flits = 1 + (rng.next() % 4) as u32;
+        let (src, dst) = (NodeId::new(src as u32), NodeId::new(dst as u32));
+        (src, dst, flits, alternating_class(i))
+    })
+}
+
+/// The per-die mesh every chaos soak, twin, and detection run builds.
+fn soak_mesh_config(cfg: &ChaosConfig) -> MeshConfig {
+    MeshConfig::new(
+        cfg.width as usize,
+        cfg.height as usize,
+        ArbiterKind::RoundRobin,
+    )
 }
 
 /// Canonical outcome digest of a finished NoC soak: the cycle count plus
@@ -97,7 +124,7 @@ fn mesh_trace_header(cfg: &ChaosConfig, seed: u64, plan: &FaultPlan) -> TraceHea
         cfg.height,
         seed,
         u64::from(cfg.transfers),
-        plan_fingerprint(plan),
+        trace_digest::plan_digest(Some(plan)),
     )
 }
 
@@ -110,7 +137,7 @@ fn fabric_trace_header(cfg: &ChaosConfig, seed: u64, plan: &FaultPlan) -> TraceH
         cfg.height,
         seed,
         u64::from(cfg.transfers),
-        plan_fingerprint(plan),
+        trace_digest::plan_digest(Some(plan)),
     )
 }
 
@@ -455,14 +482,7 @@ fn iteration_body(
         // Single-VC wormhole buffers: legitimate for independent transfers
         // (no request/reply coupling) and exactly the surface the historical
         // reroute-deadlock bug lived on, so the progress oracle keeps bite.
-        let mesh_cfg = MeshConfig {
-            width: cfg.width as usize,
-            height: cfg.height as usize,
-            buffer_packets: 4,
-            arbiter: ArbiterKind::RoundRobin,
-            route_order: RouteOrder::Xy,
-            vcs: 1,
-        };
+        let mesh_cfg = soak_mesh_config(cfg);
         match ReliableMesh::with_faults(mesh_cfg, plan, cfg.retry) {
             Err(e) => violations.push(Violation {
                 oracle: OracleKind::Delivery,
@@ -600,24 +620,9 @@ fn device_phase(
 /// transfers with distinct endpoints, alternating packet classes, and
 /// 1–4 flits, drawn from the seeded splitmix stream.
 fn submit_mesh_traffic(rm: &mut ReliableMesh, cfg: &ChaosConfig, seed: u64) -> Result<(), String> {
-    let n = u64::from(cfg.width) * u64::from(cfg.height);
-    let mut rng = SplitMix(seed ^ 0x6368_616f_735f_7278);
-    for i in 0..cfg.transfers {
-        let src = rng.next() % n;
-        let dst = (src + 1 + rng.next() % (n - 1)) % n;
-        let flits = 1 + (rng.next() % 4) as u32;
-        let class = if i % 2 == 0 {
-            PacketClass::Request
-        } else {
-            PacketClass::Reply
-        };
-        rm.submit_checked(
-            NodeId::new(src as u32),
-            NodeId::new(dst as u32),
-            flits,
-            class,
-        )
-        .map_err(|e| format!("harness: in-range submit rejected: {e}"))?;
+    for (src, dst, flits, class) in mesh_transfers(cfg, seed) {
+        rm.submit_checked(src, dst, flits, class)
+            .map_err(|e| format!("harness: in-range submit rejected: {e}"))?;
     }
     Ok(())
 }
@@ -627,14 +632,7 @@ fn submit_mesh_traffic(rm: &mut ReliableMesh, cfg: &ChaosConfig, seed: u64) -> R
 /// configured device count and topology.
 fn fabric_config(cfg: &ChaosConfig) -> FabricConfig {
     let mut fc = FabricConfig::new(cfg.devices, cfg.fabric_topology());
-    fc.mesh = MeshConfig {
-        width: cfg.width as usize,
-        height: cfg.height as usize,
-        buffer_packets: 4,
-        arbiter: ArbiterKind::RoundRobin,
-        route_order: RouteOrder::Xy,
-        vcs: 1,
-    };
+    fc.mesh = soak_mesh_config(cfg);
     fc.retry = cfg.retry;
     fc
 }
@@ -647,7 +645,7 @@ fn fabric_config(cfg: &ChaosConfig) -> FabricConfig {
 fn submit_fabric_traffic(sim: &mut FabricSim, cfg: &ChaosConfig, seed: u64) -> Result<(), String> {
     let n = u64::from(cfg.width) * u64::from(cfg.height);
     let devs = u64::from(cfg.devices);
-    let mut rng = SplitMix(seed ^ 0x6368_616f_735f_7278);
+    let mut rng = traffic_stream(seed);
     for i in 0..cfg.transfers {
         let src_dev = (rng.next() % devs) as u32;
         let dst_dev = (rng.next() % devs) as u32;
@@ -655,25 +653,18 @@ fn submit_fabric_traffic(sim: &mut FabricSim, cfg: &ChaosConfig, seed: u64) -> R
         // rule; cross-device endpoints are free (both draws always happen,
         // so the stream stays aligned across the two shapes).
         let (src, dst) = if src_dev == dst_dev {
-            let s = rng.next() % n;
-            let d = (s + 1 + rng.next() % (n - 1)) % n;
-            (s, d)
+            distinct_endpoints(&mut rng, n)
         } else {
             (rng.next() % n, rng.next() % n)
         };
         let flits = 1 + (rng.next() % 4) as u32;
-        let class = if i % 2 == 0 {
-            PacketClass::Request
-        } else {
-            PacketClass::Reply
-        };
         sim.submit(
             src_dev,
             NodeId::new(src as u32),
             dst_dev,
             NodeId::new(dst as u32),
             flits,
-            class,
+            alternating_class(i),
         )
         .map_err(|e| format!("harness: in-range submit rejected: {e}"))?;
     }
@@ -771,14 +762,7 @@ fn check_replay_mesh(
         .finish_bytes(recorded)
         .map_err(|e| format!("harness: trace capture failed: {e}"))?;
 
-    let mesh_cfg = MeshConfig {
-        width: cfg.width as usize,
-        height: cfg.height as usize,
-        buffer_packets: 4,
-        arbiter: ArbiterKind::RoundRobin,
-        route_order: RouteOrder::Xy,
-        vcs: 1,
-    };
+    let mesh_cfg = soak_mesh_config(cfg);
     let mut twin = ReliableMesh::with_faults(mesh_cfg, plan, cfg.retry)
         .map_err(|e| format!("harness: replay twin construction failed: {e}"))?;
     #[cfg(feature = "bug-hooks")]
@@ -877,14 +861,7 @@ fn detection_phase(cfg: &ChaosConfig, seed: u64, plan: &FaultPlan) -> Result<(),
     let mut problems: Vec<String> = Vec::new();
 
     // Link detection on a self-healing mesh (same geometry as the soak).
-    let mesh_cfg = MeshConfig {
-        width: cfg.width as usize,
-        height: cfg.height as usize,
-        buffer_packets: 4,
-        arbiter: ArbiterKind::RoundRobin,
-        route_order: RouteOrder::Xy,
-        vcs: 1,
-    };
+    let mesh_cfg = soak_mesh_config(cfg);
     let mut healer = SelfHealingMesh::new(mesh_cfg, plan, cfg.retry, HealthConfig::default())
         .map_err(|e| format!("harness: self-healing mesh rejected the plan: {e}"))?;
     let last_onset = plan.links.iter().map(|l| l.onset).max().unwrap_or(0);
@@ -1152,14 +1129,7 @@ fn record_soak_trace(cfg: &ChaosConfig, seed: u64, plan: &FaultPlan) -> Option<S
         let digest = fabric_fingerprint(&sim);
         tap.finish_bytes(digest).ok().map(|b| to_hex(&b))
     } else {
-        let mesh_cfg = MeshConfig {
-            width: cfg.width as usize,
-            height: cfg.height as usize,
-            buffer_packets: 4,
-            arbiter: ArbiterKind::RoundRobin,
-            route_order: RouteOrder::Xy,
-            vcs: 1,
-        };
+        let mesh_cfg = soak_mesh_config(cfg);
         let mut rm = ReliableMesh::with_faults(mesh_cfg, plan, cfg.retry).ok()?;
         #[cfg(feature = "bug-hooks")]
         if cfg.greedy_reroute_bug {
@@ -1181,7 +1151,7 @@ fn verify_embedded_trace(cfg: &ChaosConfig, plan: &FaultPlan, hex: &str) -> Resu
     let bytes = from_hex(hex).map_err(|e| format!("undecodable hex: {e}"))?;
     let mut reader =
         TraceReader::from_bytes(bytes).map_err(|e| format!("unreadable trace: {e}"))?;
-    let expected_plan = plan_fingerprint(plan);
+    let expected_plan = trace_digest::plan_digest(Some(plan));
     let header_plan = reader.header().plan_fnv;
     if header_plan != expected_plan {
         return Err(format!(
@@ -1207,14 +1177,7 @@ fn verify_embedded_trace(cfg: &ChaosConfig, plan: &FaultPlan, hex: &str) -> Resu
         twin.run_until_quiescent(cfg.soak_cycle_budget);
         fabric_fingerprint(&twin)
     } else {
-        let mesh_cfg = MeshConfig {
-            width: cfg.width as usize,
-            height: cfg.height as usize,
-            buffer_packets: 4,
-            arbiter: ArbiterKind::RoundRobin,
-            route_order: RouteOrder::Xy,
-            vcs: 1,
-        };
+        let mesh_cfg = soak_mesh_config(cfg);
         let mut twin = ReliableMesh::with_faults(mesh_cfg, plan, cfg.retry)
             .map_err(|e| format!("twin construction failed: {e}"))?;
         #[cfg(feature = "bug-hooks")]
@@ -1397,14 +1360,7 @@ fn write_profile(
     if cfg.devices >= 2 {
         return write_fabric_profile(cfg, seed, plan, violations, path);
     }
-    let mesh_cfg = MeshConfig {
-        width: cfg.width as usize,
-        height: cfg.height as usize,
-        buffer_packets: 4,
-        arbiter: ArbiterKind::RoundRobin,
-        route_order: RouteOrder::Xy,
-        vcs: 1,
-    };
+    let mesh_cfg = soak_mesh_config(cfg);
     let mut rm = ReliableMesh::with_faults(mesh_cfg, plan, cfg.retry)
         .map_err(|e| ChaosError::Config(format!("profile replay: {e}")))?;
     #[cfg(feature = "bug-hooks")]
@@ -1412,26 +1368,8 @@ fn write_profile(
         rm.mesh_mut().enable_greedy_reroute_bug();
     }
     rm.mesh_mut().attach_flight_recorder();
-    let n = u64::from(cfg.width) * u64::from(cfg.height);
-    let mut rng = SplitMix(seed ^ 0x6368_616f_735f_7278);
-    for i in 0..cfg.transfers {
-        let src = rng.next() % n;
-        let dst = (src + 1 + rng.next() % (n - 1)) % n;
-        let flits = 1 + (rng.next() % 4) as u32;
-        let class = if i % 2 == 0 {
-            PacketClass::Request
-        } else {
-            PacketClass::Reply
-        };
-        if rm
-            .submit_checked(
-                NodeId::new(src as u32),
-                NodeId::new(dst as u32),
-                flits,
-                class,
-            )
-            .is_err()
-        {
+    for (src, dst, flits, class) in mesh_transfers(cfg, seed) {
+        if rm.submit_checked(src, dst, flits, class).is_err() {
             break;
         }
     }

@@ -14,10 +14,11 @@ use gnoc_core::microbench::bandwidth::{aggregate_fabric_gbps, aggregate_memory_g
 use gnoc_core::noc::loadcurve::{hier_load_curve, mesh_load_curve, SweepConfig};
 use gnoc_core::noc::{run_fairness_recorded, run_memsim_traced, HierConfig, MeshConfig};
 use gnoc_core::noc::{ArbiterKind, FairnessConfig, MemSimConfig};
-use gnoc_core::noc::{NodeId, PacketClass, ReliableMesh, RetryConfig};
+use gnoc_core::noc::{ReliableMesh, RetryConfig};
 use gnoc_core::sidechannel::covert::{
     bits_of, bytes_of, channel_snr, transmit, CovertChannelConfig,
 };
+use gnoc_core::soak::{self, ReplayFailure, Seal};
 use gnoc_core::workloads::replay::{replay, ReplayConfig};
 use gnoc_core::workloads::{bfs, gaussian};
 use gnoc_core::{
@@ -385,14 +386,7 @@ fn run(
             let args = FabricRunArgs {
                 devices,
                 topology: try_or_fail!(parse_topology(&topology)),
-                mesh: MeshConfig {
-                    width: width as usize,
-                    height: height as usize,
-                    buffer_packets: 4,
-                    arbiter: ArbiterKind::RoundRobin,
-                    route_order: gnoc_core::noc::RouteOrder::Xy,
-                    vcs: 1,
-                },
+                mesh: MeshConfig::new(width as usize, height as usize, ArbiterKind::RoundRobin),
                 seed,
                 transfers,
                 cycles,
@@ -445,13 +439,8 @@ fn run(
                     .run_degraded(path, deadline_rows)
                     .map_err(|e| e.to_string()));
                 println!(
-                    "{preset}: grand mean latency {:.0} cycles (degraded campaign{})",
-                    result.grand_mean(),
-                    if plan.is_some() {
-                        ", fault plan applied"
-                    } else {
-                        ""
-                    }
+                    "{}",
+                    soak::campaign_summary(preset, &result, true, plan.is_some())
                 );
                 println!(
                     "coverage: {}/{} rows measured ({:.0}%), {} quarantined, {} unreached",
@@ -483,15 +472,8 @@ fn run(
                 .run_to_completion_par(path, pool)
                 .map_err(|e| e.to_string()));
             println!(
-                "{preset}: grand mean latency {:.0} cycles over {}x{} pairs{}",
-                result.grand_mean(),
-                result.matrix.len(),
-                result.matrix.first().map_or(0, Vec::len),
-                if plan.is_some() {
-                    " (fault plan applied)"
-                } else {
-                    ""
-                }
+                "{}",
+                soak::campaign_summary(preset, &result, false, plan.is_some())
             );
             if let Some(p) = path {
                 println!("checkpoint: {}", p.display());
@@ -990,14 +972,7 @@ fn run_profile(
     plan: Option<&FaultPlan>,
     telemetry: &TelemetryHandle,
 ) -> u8 {
-    let cfg = MeshConfig {
-        width,
-        height,
-        buffer_packets: 4,
-        arbiter,
-        route_order: gnoc_core::noc::RouteOrder::Xy,
-        vcs: 1,
-    };
+    let cfg = MeshConfig::new(width, height, arbiter);
     let benign = FaultPlan::none();
     let plan = plan.unwrap_or(&benign);
     let mut rm = try_or_fail!(ReliableMesh::with_faults(cfg, plan, RetryConfig::default())
@@ -1005,28 +980,7 @@ fn run_profile(
     rm.mesh_mut().set_telemetry(telemetry.clone());
     rm.mesh_mut().attach_flight_recorder();
 
-    // The same splitmix64 traffic stream as `gnoc mesh --faults`, with
-    // varied packet lengths so serialization stalls show up in the profile.
-    let nodes = (width * height) as u64;
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    let mut submitted = 0usize;
-    while submitted < transfers {
-        let src = (next() % nodes) as u32;
-        let dst = (next() % nodes) as u32;
-        let flits = 1 + (next() % 4) as u32;
-        if src == dst {
-            continue;
-        }
-        rm.submit(NodeId(src), NodeId(dst), flits, PacketClass::Request);
-        submitted += 1;
-    }
+    soak::submit_profile_soak(&mut rm, seed, transfers);
     let quiesced = rm.run_until_quiescent(2_000_000);
     let cycles = rm.mesh().cycle();
     let rec = rm
@@ -1111,24 +1065,11 @@ fn run_fabric_profile(
     let benign = FaultPlan::none();
     let plan = plan.unwrap_or(&benign);
     let mut cfg = FabricConfig::new(devices, topology);
-    cfg.mesh = MeshConfig {
-        width,
-        height,
-        buffer_packets: 4,
-        arbiter,
-        route_order: gnoc_core::noc::RouteOrder::Xy,
-        vcs: 1,
-    };
+    cfg.mesh = MeshConfig::new(width, height, arbiter);
     let mut sim = try_or_fail!(FabricSim::with_faults(cfg, plan)
         .map_err(|e| format!("cannot build the {devices}-device {topology} fabric: {e}")));
     sim.attach_flight_recorder();
-    try_or_fail!(submit_cli_fabric_traffic(
-        &mut sim,
-        devices,
-        (width * height) as u64,
-        seed,
-        transfers
-    ));
+    try_or_fail!(soak::submit_fabric_soak(&mut sim, seed, transfers).map_err(|e| e.to_string()));
     let quiesced = sim.run_until_quiescent(2_000_000);
     let cycles = sim.cycle();
     let rec = sim.take_flight_recorder().expect("recorder attached above");
@@ -1164,14 +1105,7 @@ fn run_health(
 ) -> u8 {
     let benign = FaultPlan::none();
     let plan = plan.unwrap_or(&benign);
-    let mesh_cfg = MeshConfig {
-        width: width as usize,
-        height: height as usize,
-        buffer_packets: 4,
-        arbiter: ArbiterKind::RoundRobin,
-        route_order: gnoc_core::noc::RouteOrder::Xy,
-        vcs: 1,
-    };
+    let mesh_cfg = MeshConfig::new(width as usize, height as usize, ArbiterKind::RoundRobin);
     let mut healer = try_or_fail!(SelfHealingMesh::new(
         mesh_cfg,
         plan,
@@ -1253,7 +1187,6 @@ fn run_faulted_mesh(
     profile: Option<&Path>,
 ) -> u8 {
     let cfg = MeshConfig::paper_6x6(arbiter);
-    let nodes = (cfg.width * cfg.height) as u64;
     let mut rm = if self_heal {
         let mut healer = try_or_fail!(SelfHealingMesh::new(
             cfg,
@@ -1293,7 +1226,7 @@ fn run_faulted_mesh(
         rm.mesh_mut().attach_flight_recorder();
     }
 
-    submit_mesh_soak_traffic(&mut rm, nodes, seed, transfers);
+    soak::submit_mesh_soak(&mut rm, seed, transfers);
 
     let quiesced = rm.run_until_quiescent(2_000_000);
     let s = rm.stats().clone();
@@ -1358,30 +1291,6 @@ fn run_faulted_mesh(
     EXIT_OK
 }
 
-/// The `gnoc mesh` splitmix64 traffic stream keyed by the seed, shared by
-/// the live faulted soak and `gnoc trace record mesh` so a recording
-/// captures exactly the run it stands in for.
-fn submit_mesh_soak_traffic(rm: &mut ReliableMesh, nodes: u64, seed: u64, transfers: usize) {
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    let mut submitted = 0usize;
-    while submitted < transfers {
-        let src = (next() % nodes) as u32;
-        let dst = (next() % nodes) as u32;
-        if src == dst {
-            continue;
-        }
-        rm.submit(NodeId(src), NodeId(dst), 1, PacketClass::Request);
-        submitted += 1;
-    }
-}
-
 /// Resolves a topology name the parser already validated.
 fn parse_topology(name: &str) -> Result<FabricTopology, String> {
     FabricTopology::parse(name)
@@ -1397,49 +1306,6 @@ struct FabricRunArgs {
     transfers: usize,
     cycles: u64,
     self_heal: bool,
-}
-
-/// Submits `transfers` seed-deterministic transfers with uniform-random
-/// device and node endpoints (same-device pairs included, so die-local and
-/// cross-device traffic mix) and varied packet lengths.
-fn submit_cli_fabric_traffic(
-    sim: &mut FabricSim,
-    devices: u32,
-    nodes: u64,
-    seed: u64,
-    transfers: usize,
-) -> Result<(), String> {
-    let devs = u64::from(devices);
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    let mut submitted = 0usize;
-    while submitted < transfers {
-        let src_dev = (next() % devs) as u32;
-        let dst_dev = (next() % devs) as u32;
-        let src = (next() % nodes) as u32;
-        let dst = (next() % nodes) as u32;
-        if src_dev == dst_dev && src == dst {
-            continue;
-        }
-        let flits = 1 + (next() % 4) as u32;
-        sim.submit(
-            src_dev,
-            NodeId(src),
-            dst_dev,
-            NodeId(dst),
-            flits,
-            PacketClass::Request,
-        )
-        .map_err(|e| e.to_string())?;
-        submitted += 1;
-    }
-    Ok(())
 }
 
 /// `gnoc fabric` (and `gnoc mesh --devices N`): a cross-device soak over
@@ -1504,14 +1370,9 @@ fn run_fabric(args: &FabricRunArgs, plan: Option<&FaultPlan>, profile: Option<&P
         }
     }
 
-    let nodes = (args.mesh.width * args.mesh.height) as u64;
-    try_or_fail!(submit_cli_fabric_traffic(
-        &mut sim,
-        args.devices,
-        nodes,
-        args.seed,
-        args.transfers
-    ));
+    try_or_fail!(
+        soak::submit_fabric_soak(&mut sim, args.seed, args.transfers).map_err(|e| e.to_string())
+    );
     let start = sim.cycle();
     let quiesced = if let Some(m) = monitor.as_mut() {
         // Keep the breakers polling during the soak so mid-traffic fault
@@ -1602,8 +1463,7 @@ fn run_fabric(args: &FabricRunArgs, plan: Option<&FaultPlan>, profile: Option<&P
 // ---------------------------------------------------------------------------
 
 use gnoc_core::trace::{
-    validate_stream, ReplayError, ReplayOutcome, TraceError, TraceHeader, TraceKind, TraceReader,
-    TraceTap,
+    validate_stream, ReplayError, TraceError, TraceHeader, TraceKind, TraceReader, TraceTap,
 };
 use gnoc_core::trace_digest;
 
@@ -1700,7 +1560,7 @@ fn record_trace(
             .map_err(|e| e.to_string()));
             rm.mesh_mut().set_telemetry(telemetry.clone());
             rm.attach_trace_tap(tap);
-            submit_mesh_soak_traffic(&mut rm, (cfg.width * cfg.height) as u64, *seed, *transfers);
+            soak::submit_mesh_soak(&mut rm, *seed, *transfers);
             let quiesced = rm.run_until_quiescent(2_000_000);
             let line = try_or_fail!(trace_digest::mesh_stats_line(&rm));
             let tap = rm.take_trace_tap().expect("tap attached above");
@@ -1726,14 +1586,7 @@ fn record_trace(
             // lives outside the injected stream).
             let topo = try_or_fail!(parse_topology(topology));
             let mut cfg = FabricConfig::new(*devices, topo);
-            cfg.mesh = MeshConfig {
-                width: *width as usize,
-                height: *height as usize,
-                buffer_packets: 4,
-                arbiter: ArbiterKind::RoundRobin,
-                route_order: gnoc_core::noc::RouteOrder::Xy,
-                vcs: 1,
-            };
+            cfg.mesh = MeshConfig::new(*width as usize, *height as usize, ArbiterKind::RoundRobin);
             let header = TraceHeader::fabric(
                 *devices,
                 topology,
@@ -1751,10 +1604,9 @@ fn record_trace(
             let mut sim = try_or_fail!(FabricSim::with_faults(cfg, plan.unwrap_or(&benign))
                 .map_err(|e| format!("cannot build the {devices}-device {topology} fabric: {e}")));
             sim.attach_trace_tap(tap);
-            let nodes = u64::from(*width) * u64::from(*height);
-            try_or_fail!(submit_cli_fabric_traffic(
-                &mut sim, *devices, nodes, *seed, *transfers
-            ));
+            try_or_fail!(
+                soak::submit_fabric_soak(&mut sim, *seed, *transfers).map_err(|e| e.to_string())
+            );
             let quiesced = sim.run_until_quiescent(*cycles);
             let line = try_or_fail!(trace_digest::fabric_stats_line(&sim));
             let tap = sim.take_trace_tap().expect("tap attached above");
@@ -1846,138 +1698,61 @@ fn replay_trace(
             return trace_error_code(&e);
         }
     };
-    let header = reader.header().clone();
-    let plan_fnv = trace_digest::plan_digest(plan);
-    if header.plan_fnv != plan_fnv {
-        eprintln!(
-            "error: trace was recorded against fault plan {:016x} but this \
-             invocation supplies {:016x}; pass the recording's --faults plan",
-            header.plan_fnv, plan_fnv
-        );
-        return EXIT_INVALID_INPUT;
-    }
-    let benign = FaultPlan::none();
-    let mesh_cfg = MeshConfig {
-        width: header.width as usize,
-        height: header.height as usize,
-        buffer_packets: 4,
-        arbiter: ArbiterKind::RoundRobin,
-        route_order: gnoc_core::noc::RouteOrder::Xy,
-        vcs: 1,
-    };
-    match header.kind {
-        TraceKind::Mesh => {
-            let mut rm = try_or_fail!(ReliableMesh::with_faults(
-                mesh_cfg,
-                plan.unwrap_or(&benign),
-                RetryConfig::default()
-            )
-            .map_err(|e| e.to_string()));
-            rm.mesh_mut().set_telemetry(telemetry.clone());
-            let outcome = match rm.replay_from(&mut reader) {
-                Ok(o) => o,
-                Err(e) => return replay_error_exit(&e),
-            };
-            rm.run_until_quiescent(2_000_000);
-            let line = try_or_fail!(trace_digest::mesh_stats_line(&rm));
-            let recorded = reader.footer().map(|f| f.stats_fnv);
-            finish_replay("mesh", &line, stats_out, &outcome, recorded)
-        }
-        TraceKind::Fabric => {
-            let topo = try_or_fail!(parse_topology(&header.topology));
-            let mut cfg = FabricConfig::new(header.devices, topo);
-            cfg.mesh = mesh_cfg;
-            let mut sim = try_or_fail!(
-                FabricSim::with_faults(cfg, plan.unwrap_or(&benign)).map_err(|e| e.to_string())
+    let verdict = match soak::replay(&mut reader, plan, telemetry) {
+        Ok(v) => v,
+        Err(ReplayFailure::PlanMismatch { recorded, supplied }) => {
+            eprintln!(
+                "error: trace was recorded against fault plan {recorded:016x} but this \
+                 invocation supplies {supplied:016x}; pass the recording's --faults plan"
             );
-            let outcome = match sim.replay_from(&mut reader) {
-                Ok(o) => o,
-                Err(e) => return replay_error_exit(&e),
-            };
-            sim.run_until_quiescent(2_000_000);
-            let line = try_or_fail!(trace_digest::fabric_stats_line(&sim));
-            let recorded = reader.footer().map(|f| f.stats_fnv);
-            finish_replay("fabric", &line, stats_out, &outcome, recorded)
+            return EXIT_INVALID_INPUT;
         }
-        TraceKind::Campaign => {
-            // No events to drive — CRC-check the (empty) stream, then
-            // re-run the campaign from the header and compare digests.
-            let summary = match validate_stream(&mut reader) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return trace_error_code(&e);
-                }
-            };
-            let device = header.device.clone().unwrap_or_default();
-            let probe = LatencyProbe {
-                working_set_lines: header.lines as usize,
-                samples: header.samples as usize,
-            };
-            let mut campaign =
-                try_or_fail!(
-                    CheckpointedCampaign::new(&device, header.seed, probe, plan.cloned())
-                        .map_err(|e| e.to_string())
-                );
-            campaign.set_telemetry(telemetry.clone());
-            let result = try_or_fail!(campaign.run_to_completion(None).map_err(|e| e.to_string()));
-            let line = trace_digest::campaign_stats_line(&device, &result);
-            let outcome = ReplayOutcome {
-                replayed: summary.events,
-                truncated: summary.truncated,
-            };
-            let recorded = summary.complete.then_some(summary.stats_fnv);
-            finish_replay("campaign", &line, stats_out, &outcome, recorded)
+        Err(ReplayFailure::UnknownTopology(name)) => {
+            eprintln!("error: unknown topology '{name}' (p2p|line|ring|fully|switch)");
+            return EXIT_INVALID_INPUT;
         }
-    }
-}
-
-fn finish_replay(
-    kind: &str,
-    line: &str,
-    stats_out: Option<&Path>,
-    outcome: &ReplayOutcome,
-    recorded: Option<u64>,
-) -> u8 {
+        Err(ReplayFailure::Setup { error, .. } | ReplayFailure::Stats(error)) => {
+            eprintln!("error: {error}");
+            return EXIT_INVALID_INPUT;
+        }
+        Err(ReplayFailure::Stream(e)) => return replay_error_exit(&e),
+    };
     if let Some(p) = stats_out {
-        if let Err(code) = write_stats_line(p, line) {
+        if let Err(code) = write_stats_line(p, &verdict.line) {
             return code;
         }
     }
-    let digest = trace_digest::line_digest(line);
-    if let Some((chunk, offset)) = outcome.truncated {
-        eprintln!(
-            "warning: trace truncated in chunk {chunk} at byte offset {offset}; \
-             replayed the complete prefix"
-        );
-        println!(
-            "replayed {kind} prefix: {} event(s), stats digest {digest:016x} \
-             (no footer to compare)",
-            outcome.replayed
-        );
-        return EXIT_OK;
-    }
-    match recorded {
-        Some(rec) if rec == digest => {
+    let (kind, events, digest) = (verdict.kind.name(), verdict.events, verdict.digest);
+    match verdict.seal {
+        Seal::Truncated { chunk, offset } => {
+            eprintln!(
+                "warning: trace truncated in chunk {chunk} at byte offset {offset}; \
+                 replayed the complete prefix"
+            );
             println!(
-                "replayed {kind} trace: {} event(s), stats digest {digest:016x} \
-                 matches the recording",
-                outcome.replayed
+                "replayed {kind} prefix: {events} event(s), stats digest {digest:016x} \
+                 (no footer to compare)"
             );
             EXIT_OK
         }
-        Some(rec) => {
+        Seal::Matches => {
+            println!(
+                "replayed {kind} trace: {events} event(s), stats digest {digest:016x} \
+                 matches the recording"
+            );
+            EXIT_OK
+        }
+        Seal::Diverges(rec) => {
             eprintln!(
                 "error: divergent replay: stats digest {digest:016x} does not \
                  match the recorded {rec:016x}"
             );
             EXIT_CHECK_FAILED
         }
-        None => {
+        Seal::Unsealed => {
             println!(
-                "replayed {kind} trace: {} event(s), stats digest {digest:016x} \
-                 (recording sealed no digest)",
-                outcome.replayed
+                "replayed {kind} trace: {events} event(s), stats digest {digest:016x} \
+                 (recording sealed no digest)"
             );
             EXIT_OK
         }

@@ -229,6 +229,45 @@ fn trace_subcommands_pin_all_four_exit_codes() {
 }
 
 #[test]
+fn trace_sealed_with_zero_digest_replays_clean_in_cli_and_daemon() {
+    // A footer digest of 0 means "unknown" in the trace format: there is
+    // nothing to compare, so the one-shot CLI and the daemon both accept.
+    let unsealed = scratch("trace-unsealed.trc");
+    let header = TraceHeader::mesh(6, 6, 4, 2, 0);
+    let mut tap = TraceTap::to_file(&unsealed, &header).unwrap();
+    for (src, dst) in [(0, 7), (3, 11)] {
+        tap.record(&TraceEvent {
+            cycle: 0,
+            src_dev: 0,
+            src,
+            dst_dev: 0,
+            dst,
+            flits: 1,
+            class: 0,
+        });
+    }
+    tap.finish_file(0).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_gnoc"))
+        .args(["trace", "replay", unsealed.to_str().unwrap()])
+        .output()
+        .expect("spawn gnoc");
+    assert_eq!(out.status.code(), Some(EXIT_OK));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("(recording sealed no digest)"));
+
+    let spec = gnoc_serve::JobSpec::Replay {
+        trace_hex: gnoc_core::trace::to_hex(&std::fs::read(&unsealed).unwrap()),
+        plan: None,
+    };
+    let outcome = gnoc_serve::run::execute(&spec, &scratch("unsealed-ckpt.json"), 0);
+    assert!(
+        outcome.result.is_ok(),
+        "daemon refused: {:?}",
+        outcome.result
+    );
+    let _ = std::fs::remove_file(&unsealed);
+}
+
+#[test]
 fn health_subcommand_runs_clean_without_faults() {
     assert_eq!(
         gnoc(&["health", "--cycles", "2000", "--device", "none"]),

@@ -1,7 +1,7 @@
 //! Fabric configuration and error types.
 
 use gnoc_faults::FaultPlanError;
-use gnoc_noc::{ArbiterKind, MeshConfig, NocError, RetryConfig, RouteOrder};
+use gnoc_noc::{ArbiterKind, MeshConfig, NocError, RetryConfig};
 use gnoc_topo::FabricTopology;
 use serde::{Deserialize, Serialize};
 
@@ -52,14 +52,7 @@ impl FabricConfig {
         Self {
             devices,
             topology,
-            mesh: MeshConfig {
-                width: 5,
-                height: 5,
-                buffer_packets: 4,
-                arbiter: ArbiterKind::RoundRobin,
-                route_order: RouteOrder::Xy,
-                vcs: 1,
-            },
+            mesh: MeshConfig::new(5, 5, ArbiterKind::RoundRobin),
             retry: RetryConfig::default(),
             link_latency_cycles: 8,
             flit_cycles: 4,

@@ -4,29 +4,8 @@ use crate::config::{FabricConfig, FabricError};
 use gnoc_faults::{FabricFaults, FaultPlan, LinkFaultKind};
 use gnoc_noc::{LossReason, Mesh, NodeId, PacketClass, ReliableMesh, TransferId, TransferOutcome};
 use gnoc_telemetry::{FlightRecorder, StallKind, FABRIC_PORT};
+use gnoc_topo::hash::{SplitMix64, GOLDEN_GAMMA};
 use serde::{Deserialize, Serialize};
-
-/// Deterministic splitmix64 stream for fabric-link fault draws. Only
-/// probabilistic faults (flaky links) and link probes advance it, so benign
-/// plans draw nothing.
-#[derive(Debug, Clone)]
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, 1)` (53 mantissa bits, same scheme as the rand
-    /// shim).
-    fn next_f64(&mut self) -> f64 {
-        (self.next() >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
-    }
-}
 
 /// Salt xored into the plan seed for the fabric's private RNG stream, so
 /// fabric draws never alias the per-die mesh streams.
@@ -167,7 +146,9 @@ pub struct FabricSim {
     routes: Vec<Vec<Option<u32>>>,
     transfers: Vec<FabricTransfer>,
     now: u64,
-    rng: SplitMix,
+    /// Fabric-link fault draws. Only probabilistic faults (flaky links) and
+    /// link probes advance it, so benign plans draw nothing.
+    rng: SplitMix64,
     fabric_faults: FabricFaults,
     /// Sorted distinct fabric fault onsets not yet applied.
     pending_onsets: Vec<u64>,
@@ -216,7 +197,7 @@ impl FabricSim {
             let mut die_plan = plan.clone();
             die_plan.seed = plan
                 .seed
-                .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(u64::from(d)));
+                .wrapping_add(GOLDEN_GAMMA.wrapping_mul(u64::from(d)));
             die_plan.fabric = FabricFaults::default();
             // Note: `cfg.self_healing` governs only *fabric* routing. The
             // dies stay fault-aware — the fabric health monitor watches
@@ -284,7 +265,7 @@ impl FabricSim {
             routes: Vec::new(),
             transfers: Vec::new(),
             now: 0,
-            rng: SplitMix(plan.seed ^ FABRIC_RNG_SALT),
+            rng: SplitMix64::new(plan.seed ^ FABRIC_RNG_SALT),
             fabric_faults: plan.fabric.clone(),
             pending_onsets,
             device_dead: vec![false; cfg.devices as usize],

@@ -65,16 +65,23 @@ pub struct MeshConfig {
 }
 
 impl MeshConfig {
-    /// The paper's Fig. 23 setup: a 6×6 mesh with modest buffering.
-    pub fn paper_6x6(arbiter: ArbiterKind) -> Self {
+    /// The soak geometry every seeded run uses: a `width`×`height` mesh with
+    /// 4-packet buffers, XY routing, and one virtual channel. Recordings and
+    /// their replays both build through here, so the two cannot drift apart.
+    pub fn new(width: usize, height: usize, arbiter: ArbiterKind) -> Self {
         Self {
-            width: 6,
-            height: 6,
+            width,
+            height,
             buffer_packets: 4,
             arbiter,
             route_order: RouteOrder::Xy,
             vcs: 1,
         }
+    }
+
+    /// The paper's Fig. 23 setup: a 6×6 mesh with modest buffering.
+    pub fn paper_6x6(arbiter: ArbiterKind) -> Self {
+        Self::new(6, 6, arbiter)
     }
 
     /// The same geometry with `vcs` virtual channels per port.

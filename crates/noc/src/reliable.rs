@@ -746,18 +746,10 @@ impl ReliableMesh {
 mod tests {
     use super::*;
     use crate::arbiter::ArbiterKind;
-    use crate::mesh::RouteOrder;
     use gnoc_faults::{Direction, LinkFault, LinkFaultKind, TransientFaults};
 
     fn mesh_cfg() -> MeshConfig {
-        MeshConfig {
-            width: 3,
-            height: 3,
-            buffer_packets: 4,
-            arbiter: ArbiterKind::RoundRobin,
-            route_order: RouteOrder::Xy,
-            vcs: 1,
-        }
+        MeshConfig::new(3, 3, ArbiterKind::RoundRobin)
     }
 
     fn dead_both_ways(router: u32, dir: Direction, width: u32, height: u32) -> [LinkFault; 2] {

@@ -12,8 +12,10 @@
 
 use crate::protocol::{json_str, JobSpec};
 use gnoc_chaos::{run_chaos, ChaosConfig, ChaosOptions};
-use gnoc_core::noc::{NodeId, PacketClass};
+use gnoc_core::soak::{self, ReplayFailure, Seal};
 use gnoc_core::telemetry::TelemetryHandle;
+use gnoc_core::trace::TraceReader;
+use gnoc_core::trace_digest;
 use gnoc_core::{
     ArbiterKind, CheckpointedCampaign, FabricConfig, FabricSim, FabricTopology, FaultPlan,
     LatencyProbe, MeshConfig, ReliableMesh, RetryConfig,
@@ -42,17 +44,6 @@ fn fail(msg: String) -> ExecOutcome {
         resumed_rows: 0,
         result: Err(msg),
     }
-}
-
-/// Deterministic splitmix64 stream, shared by the mesh and fabric soaks
-/// (the same generator the one-shot CLI uses, so seeds mean the same thing
-/// through the daemon).
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Executes `spec`. `ckpt` is the per-key checkpoint path campaigns persist
@@ -163,32 +154,8 @@ fn run_campaign(
     let rows = result.matrix.len();
     let cols = result.matrix.first().map_or(0, Vec::len);
     let grand = result.grand_mean();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for row in &result.matrix {
-        for v in row {
-            for b in v.to_bits().to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
-    // `summary` reproduces the one-shot `gnoc campaign` output line exactly
-    // (both the full and the degraded form).
-    let summary = if degraded {
-        format!(
-            "{device}: grand mean latency {grand:.0} cycles (degraded campaign{})",
-            if has_plan { ", fault plan applied" } else { "" }
-        )
-    } else {
-        format!(
-            "{device}: grand mean latency {grand:.0} cycles over {rows}x{cols} pairs{}",
-            if has_plan {
-                " (fault plan applied)"
-            } else {
-                ""
-            }
-        )
-    };
+    let h = trace_digest::campaign_matrix_fnv(&result.matrix);
+    let summary = soak::campaign_summary(device, &result, degraded, has_plan);
     ok(
         resumed,
         format!(
@@ -207,18 +174,7 @@ fn run_mesh(seed: u64, transfers: usize, plan: Option<&FaultPlan>) -> ExecOutcom
         Ok(rm) => rm,
         Err(e) => return fail(format!("mesh setup: {e}")),
     };
-    let nodes = (cfg.width * cfg.height) as u64;
-    let mut state = seed;
-    let mut submitted = 0usize;
-    while submitted < transfers {
-        let src = (splitmix(&mut state) % nodes) as u32;
-        let dst = (splitmix(&mut state) % nodes) as u32;
-        if src == dst {
-            continue;
-        }
-        rm.submit(NodeId(src), NodeId(dst), 1, PacketClass::Request);
-        submitted += 1;
-    }
+    soak::submit_mesh_soak(&mut rm, seed, transfers);
     let quiesced = rm.run_until_quiescent(2_000_000);
     if !quiesced {
         return fail(format!(
@@ -288,34 +244,12 @@ fn run_fabric_job(devices: u32, topology: &str, seed: u64, transfers: usize) -> 
         return fail(format!("unknown fabric topology {topology:?}"));
     };
     let cfg = FabricConfig::new(devices, topo);
-    let nodes = (cfg.mesh.width * cfg.mesh.height) as u64;
     let mut sim = match FabricSim::with_faults(cfg, &FaultPlan::none()) {
         Ok(sim) => sim,
         Err(e) => return fail(format!("fabric setup: {e}")),
     };
-    let devs = u64::from(devices);
-    let mut state = seed;
-    let mut submitted = 0usize;
-    while submitted < transfers {
-        let src_dev = (splitmix(&mut state) % devs) as u32;
-        let dst_dev = (splitmix(&mut state) % devs) as u32;
-        let src = (splitmix(&mut state) % nodes) as u32;
-        let dst = (splitmix(&mut state) % nodes) as u32;
-        if src_dev == dst_dev && src == dst {
-            continue;
-        }
-        let flits = 1 + (splitmix(&mut state) % 4) as u32;
-        if let Err(e) = sim.submit(
-            src_dev,
-            NodeId(src),
-            dst_dev,
-            NodeId(dst),
-            flits,
-            PacketClass::Request,
-        ) {
-            return fail(format!("fabric submit: {e}"));
-        }
-        submitted += 1;
+    if let Err(e) = soak::submit_fabric_soak(&mut sim, seed, transfers) {
+        return fail(format!("fabric submit: {e}"));
     }
     let quiesced = sim.run_until_quiescent(2_000_000);
     if !quiesced {
@@ -354,126 +288,49 @@ fn run_fabric_job(devices: u32, topology: &str, seed: u64, transfers: usize) -> 
 /// succeeds with `"complete":false` (the salvage contract the CLI's
 /// `gnoc trace replay` also honors).
 fn run_replay_job(trace_hex: &str, plan: Option<&FaultPlan>) -> ExecOutcome {
-    use gnoc_core::trace::{validate_stream, TraceKind, TraceReader};
-    use gnoc_core::trace_digest;
-
-    let bytes = match gnoc_core::trace::from_hex(trace_hex) {
-        Ok(b) => b,
-        Err(e) => return fail(format!("replay: {e}")),
-    };
-    let mut reader = match TraceReader::from_bytes(bytes) {
+    let reader = gnoc_core::trace::from_hex(trace_hex)
+        .and_then(|bytes| TraceReader::from_bytes(bytes).map_err(|e| e.to_string()));
+    let mut reader = match reader {
         Ok(r) => r,
         Err(e) => return fail(format!("replay: {e}")),
     };
-    let header = reader.header().clone();
-    let plan_fnv = trace_digest::plan_digest(plan);
-    if header.plan_fnv != plan_fnv {
-        return fail(format!(
-            "replay: trace was recorded against fault plan {:016x} but the job supplies {plan_fnv:016x}",
-            header.plan_fnv
-        ));
-    }
-    let benign = FaultPlan::none();
-    let mesh_cfg = MeshConfig {
-        width: header.width as usize,
-        height: header.height as usize,
-        buffer_packets: 4,
-        arbiter: ArbiterKind::RoundRobin,
-        route_order: gnoc_core::noc::RouteOrder::Xy,
-        vcs: 1,
+    let verdict = match soak::replay(&mut reader, plan, &TelemetryHandle::disabled()) {
+        Ok(v) => v,
+        Err(ReplayFailure::PlanMismatch { recorded, supplied }) => {
+            return fail(format!(
+                "replay: trace was recorded against fault plan {recorded:016x} but the job supplies {supplied:016x}"
+            ))
+        }
+        Err(ReplayFailure::UnknownTopology(name)) => {
+            return fail(format!("replay: unknown fabric topology {name:?}"))
+        }
+        Err(ReplayFailure::Setup { stage, error }) => {
+            return fail(format!("replay {stage}: {error}"))
+        }
+        Err(ReplayFailure::Stream(e)) => return fail(format!("replay: {e}")),
+        Err(ReplayFailure::Stats(e)) => return fail(format!("replay: {e}")),
     };
-    // (events replayed, truncation point, canonical stats line, sealed digest)
-    let (events, truncated, line, recorded) = match header.kind {
-        TraceKind::Mesh => {
-            let mut rm = match ReliableMesh::with_faults(
-                mesh_cfg,
-                plan.unwrap_or(&benign),
-                RetryConfig::default(),
-            ) {
-                Ok(rm) => rm,
-                Err(e) => return fail(format!("replay mesh setup: {e}")),
-            };
-            let outcome = match rm.replay_from(&mut reader) {
-                Ok(o) => o,
-                Err(e) => return fail(format!("replay: {e}")),
-            };
-            rm.run_until_quiescent(2_000_000);
-            let line = match trace_digest::mesh_stats_line(&rm) {
-                Ok(l) => l,
-                Err(e) => return fail(format!("replay: {e}")),
-            };
-            let recorded = reader.footer().map(|f| f.stats_fnv);
-            (outcome.replayed, outcome.truncated, line, recorded)
+    let (kind, events, digest) = (verdict.kind.name(), verdict.events, verdict.digest);
+    let (complete, summary) = match verdict.seal {
+        Seal::Diverges(rec) => {
+            return fail(format!(
+                "replay: divergent {kind} replay: stats digest {digest:016x} does not match the recorded {rec:016x}"
+            ))
         }
-        TraceKind::Fabric => {
-            let Some(topo) = FabricTopology::parse(&header.topology) else {
-                return fail(format!(
-                    "replay: unknown fabric topology {:?}",
-                    header.topology
-                ));
-            };
-            let mut cfg = FabricConfig::new(header.devices, topo);
-            cfg.mesh = mesh_cfg;
-            let mut sim = match FabricSim::with_faults(cfg, plan.unwrap_or(&benign)) {
-                Ok(sim) => sim,
-                Err(e) => return fail(format!("replay fabric setup: {e}")),
-            };
-            let outcome = match sim.replay_from(&mut reader) {
-                Ok(o) => o,
-                Err(e) => return fail(format!("replay: {e}")),
-            };
-            sim.run_until_quiescent(2_000_000);
-            let line = match trace_digest::fabric_stats_line(&sim) {
-                Ok(l) => l,
-                Err(e) => return fail(format!("replay: {e}")),
-            };
-            let recorded = reader.footer().map(|f| f.stats_fnv);
-            (outcome.replayed, outcome.truncated, line, recorded)
-        }
-        TraceKind::Campaign => {
-            let summary = match validate_stream(&mut reader) {
-                Ok(s) => s,
-                Err(e) => return fail(format!("replay: {e}")),
-            };
-            let device = header.device.clone().unwrap_or_default();
-            let probe = LatencyProbe {
-                working_set_lines: header.lines as usize,
-                samples: header.samples as usize,
-            };
-            let mut campaign =
-                match CheckpointedCampaign::new(&device, header.seed, probe, plan.cloned()) {
-                    Ok(c) => c,
-                    Err(e) => return fail(format!("replay campaign setup: {e}")),
-                };
-            let result = match campaign.run_to_completion(None) {
-                Ok(r) => r,
-                Err(e) => return fail(format!("replay campaign: {e}")),
-            };
-            let line = trace_digest::campaign_stats_line(&device, &result);
-            let recorded = summary.complete.then_some(summary.stats_fnv);
-            (summary.events, summary.truncated, line, recorded)
-        }
-    };
-    let digest = trace_digest::line_digest(&line);
-    let kind = header.kind.name();
-    if truncated.is_none() {
-        if let Some(rec) = recorded {
-            if rec != 0 && rec != digest {
-                return fail(format!(
-                    "replay: divergent {kind} replay: stats digest {digest:016x} does not match the recorded {rec:016x}"
-                ));
-            }
-        }
-    }
-    let complete = truncated.is_none();
-    let summary = if complete {
-        format!(
-            "replay {kind}: {events} event(s), stats digest {digest:016x} matches the recording"
-        )
-    } else {
-        format!(
-            "replay {kind} prefix: {events} event(s), stats digest {digest:016x} (truncated trace)"
-        )
+        // A footer sealed with 0 ("unknown") has nothing to compare against;
+        // the daemon accepts it with the complete-run payload.
+        Seal::Matches | Seal::Unsealed => (
+            true,
+            format!(
+                "replay {kind}: {events} event(s), stats digest {digest:016x} matches the recording"
+            ),
+        ),
+        Seal::Truncated { .. } => (
+            false,
+            format!(
+                "replay {kind} prefix: {events} event(s), stats digest {digest:016x} (truncated trace)"
+            ),
+        ),
     };
     ok(
         0,

@@ -34,6 +34,7 @@
 mod fabric;
 mod floorplan;
 mod geom;
+pub mod hash;
 mod hierarchy;
 mod ids;
 mod spec;

@@ -63,17 +63,9 @@ const CHUNK_FOOTER: u8 = 3;
 // Hashes
 // ---------------------------------------------------------------------------
 
-/// FNV-1a 64-bit: the workspace's canonical content hash (same constants as
-/// the serve cache keys), used here for fault-plan and stats digests.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// FNV-1a 64, the workspace's content hash, used here for fault-plan and
+/// stats digests; defined once in `gnoc_topo::hash`.
+pub use gnoc_topo::hash::fnv1a64;
 
 /// CRC32 (IEEE 802.3, reflected) over `bytes`.
 #[must_use]
