@@ -10,14 +10,21 @@
 //!    the recovery cost (retransmissions spent, route-table rebuilds).
 //! 2. `slice_detect_v100` — a V100 device with two latent dead L2 slices.
 //!    Reports the worst first-open latency in health *windows*.
+//! 3. `patrol_detect_5x5` — host time of the chaos detection phase's link
+//!    detection (`SelfHealingMesh::run_detection` on the soak's 5x5 mesh)
+//!    over the die plans of chaos seeds 0..80: reps, min and median in µs,
+//!    and the noise band `(max - min) / min` across reps. A speedup claimed
+//!    for the patrol path must exceed that band.
 //!
 //! Latencies are asserted against the same bounds the chaos detection oracle
 //! enforces (6000 cycles / 3 windows), so this artifact doubles as a
 //! regression tripwire: a slower detector fails the bench before it fails
-//! the soak. Rows `{schema, bench, faults, latency, retries, reroutes, wall_ms}` go
-//! to `BENCH_health.json` (or the path given as the first argument). Only
-//! `wall_ms` is machine-dependent; every other column is deterministic.
+//! the soak. Rows `{schema, bench, faults, latency, retries, reroutes, wall_ms}`
+//! plus the patrol timing row go to `BENCH_health.json` (or the path given
+//! as the first argument). Only the wall-time columns are machine-dependent;
+//! every other column is deterministic.
 
+use gnoc_chaos::ChaosConfig;
 use gnoc_core::health::run_slice_detection_for_spec;
 use gnoc_core::{
     spec_for_preset, ArbiterKind, FaultGenConfig, FaultPlan, HealthConfig, MeshConfig, RetryConfig,
@@ -31,6 +38,12 @@ const LINK_LATENCY_BOUND: u64 = 6_000;
 const SLICE_WINDOW_BOUND: u64 = 3;
 /// All injected faults onset here, so latency = first_open - ONSET.
 const ONSET: u64 = 1_000;
+/// Mirrors the chaos detection phase: cycles run past the last onset.
+const DETECTION_RUN_MARGIN: u64 = 8_000;
+/// Chaos seeds whose die plans the patrol row detects over.
+const PATROL_SEEDS: std::ops::Range<u64> = 0..80;
+/// Timed repetitions of the patrol row.
+const PATROL_REPS: usize = 5;
 
 struct Row {
     bench: String,
@@ -115,6 +128,67 @@ fn slice_row() -> Row {
     }
 }
 
+struct PatrolRow {
+    plans: usize,
+    detections: usize,
+    wall_us: Vec<u64>,
+}
+
+impl PatrolRow {
+    fn min_us(&self) -> u64 {
+        self.wall_us[0]
+    }
+
+    fn median_us(&self) -> u64 {
+        self.wall_us[self.wall_us.len() / 2]
+    }
+
+    /// Spread of the reps relative to the fastest, in percent.
+    fn noise_pct(&self) -> f64 {
+        let max = self.wall_us[self.wall_us.len() - 1];
+        100.0 * (max - self.min_us()) as f64 / self.min_us().max(1) as f64
+    }
+}
+
+fn patrol_row() -> PatrolRow {
+    let chaos = ChaosConfig::default();
+    let slices = spec_for_preset("v100")
+        .expect("v100 preset")
+        .hierarchy()
+        .num_slices() as u32;
+    let plans: Vec<FaultPlan> = PATROL_SEEDS
+        .map(|seed| chaos.plan_for_seed(seed, slices))
+        .collect();
+    let mesh_cfg = MeshConfig::new(
+        chaos.width as usize,
+        chaos.height as usize,
+        ArbiterKind::RoundRobin,
+    );
+    let mut detections = 0;
+    let mut wall_us = Vec::with_capacity(PATROL_REPS);
+    for _ in 0..PATROL_REPS {
+        detections = 0;
+        let start = Instant::now();
+        for plan in &plans {
+            let mut healer =
+                SelfHealingMesh::new(mesh_cfg, plan, chaos.retry, HealthConfig::default())
+                    .expect("chaos plans fit the soak mesh");
+            let last_onset = plan.links.iter().map(|l| l.onset).max().unwrap_or(0);
+            healer
+                .run_detection(last_onset + DETECTION_RUN_MARGIN)
+                .expect("detection run");
+            detections += healer.detected_links().len();
+        }
+        wall_us.push(start.elapsed().as_micros() as u64);
+    }
+    wall_us.sort_unstable();
+    PatrolRow {
+        plans: plans.len(),
+        detections,
+        wall_us,
+    }
+}
+
 fn main() {
     let out = std::env::args()
         .nth(1)
@@ -124,6 +198,7 @@ fn main() {
         rows.push(link_row(dead_frac));
     }
     rows.push(slice_row());
+    let patrol = patrol_row();
 
     for r in &rows {
         println!(
@@ -131,7 +206,16 @@ fn main() {
             r.bench, r.faults, r.latency, r.retries, r.reroutes, r.wall_ms
         );
     }
-    let body = rows
+    println!(
+        "patrol_detect_5x5  plans={} detections={} reps={} min {} us, median {} us, noise {:.1}%",
+        patrol.plans,
+        patrol.detections,
+        patrol.wall_us.len(),
+        patrol.min_us(),
+        patrol.median_us(),
+        patrol.noise_pct()
+    );
+    let mut body = rows
         .iter()
         .map(|r| {
             format!(
@@ -140,8 +224,19 @@ fn main() {
                 r.bench, r.faults, r.latency, r.retries, r.reroutes, r.wall_ms
             )
         })
-        .collect::<Vec<_>>()
-        .join(",\n");
+        .collect::<Vec<_>>();
+    body.push(format!(
+        "  {{\"schema\": 1, \"bench\": \"patrol_detect_5x5\", \"plans\": {}, \
+         \"detections\": {}, \"reps\": {}, \"min_us\": {}, \"median_us\": {}, \
+         \"noise_pct\": {:.1}}}",
+        patrol.plans,
+        patrol.detections,
+        patrol.wall_us.len(),
+        patrol.min_us(),
+        patrol.median_us(),
+        patrol.noise_pct()
+    ));
+    let body = body.join(",\n");
     std::fs::write(&out, format!("[\n{body}\n]\n")).expect("write benchmark artifact");
     println!("wrote {out} (latencies inside the chaos oracle bounds)");
 }

@@ -145,6 +145,10 @@ pub struct FabricSim {
     /// `routes[node][dst_device]` = next fabric node, `None` = unreachable.
     routes: Vec<Vec<Option<u32>>>,
     transfers: Vec<FabricTransfer>,
+    /// Indices of the transfers not yet resolved, ascending: the step's
+    /// poll worklist. Submission appends; each step prunes what it
+    /// resolved, so per-cycle work follows live transfers, not history.
+    live: Vec<usize>,
     now: u64,
     /// Fabric-link fault draws. Only probabilistic faults (flaky links) and
     /// link probes advance it, so benign plans draw nothing.
@@ -264,6 +268,7 @@ impl FabricSim {
             adj,
             routes: Vec::new(),
             transfers: Vec::new(),
+            live: Vec::new(),
             now: 0,
             rng: SplitMix64::new(plan.seed ^ FABRIC_RNG_SALT),
             fabric_faults: plan.fabric.clone(),
@@ -538,6 +543,7 @@ impl FabricSim {
             let tid = self.dies[src_dev as usize].submit(src, NodeId::new(0), flits, class);
             Leg::SourceDie(tid)
         };
+        self.live.push(id.0);
         self.transfers.push(FabricTransfer {
             src_dev,
             dst_dev,
@@ -996,17 +1002,22 @@ impl FabricSim {
     }
 
     /// Advances the whole fabric one cycle: applies fault onsets, polls
-    /// every transfer (in submission order — the determinism anchor), then
-    /// steps every die in lockstep.
+    /// every unresolved transfer (in submission order — the determinism
+    /// anchor; resolved ones would return at once), then steps every die in
+    /// lockstep.
     pub fn step(&mut self) {
         let now = self.now;
         self.apply_onsets(now);
-        for idx in 0..self.transfers.len() {
+        let live = std::mem::take(&mut self.live);
+        for &idx in &live {
             // A leg transition (die → fabric) may immediately take its first
             // fabric hop in the same cycle.
             while self.poll_transfer(idx, now) {}
         }
+        self.live = live;
         self.check_watchdog(now);
+        self.live
+            .retain(|&idx| !self.transfers[idx].state.is_resolved());
         for die in &mut self.dies {
             die.step();
         }
@@ -1056,7 +1067,7 @@ impl FabricSim {
                     .saturating_add(1),
             );
         }
-        for t in &self.transfers {
+        for t in self.live.iter().map(|&idx| &self.transfers[idx]) {
             if t.state.is_resolved() {
                 continue;
             }
@@ -1097,9 +1108,9 @@ impl FabricSim {
         // FabricHop per cycle.
         if self.recorder.is_some() {
             let waiting: Vec<u64> = self
-                .transfers
+                .live
                 .iter()
-                .enumerate()
+                .map(|&idx| (idx, &self.transfers[idx]))
                 .filter(|(_, t)| !t.state.is_resolved())
                 .filter_map(|(idx, t)| match t.leg {
                     Leg::Fabric { .. } => Some(idx as u64),

@@ -157,15 +157,16 @@ impl LinkHealthMonitor {
     /// refusal and leaves the link in service.
     pub fn poll(&mut self, rm: &mut ReliableMesh) -> Result<(), NocError> {
         let cycle = rm.mesh().cycle();
-        let drops = rm.mesh().stats().link_drops.clone();
-        debug_assert_eq!(drops.len(), self.breakers.len());
+        debug_assert_eq!(rm.mesh().stats().link_drops.len(), self.breakers.len());
         #[allow(clippy::needless_range_loop)] // idx addresses four parallel arrays
         for idx in 0..self.breakers.len() {
             let Some(dir) = dir_of_port(idx % NUM_PORTS) else {
                 continue;
             };
             let router = (idx / NUM_PORTS) as u32;
-            let delta = drops[idx].saturating_sub(self.last_drops[idx]);
+            // Quarantine, probe and release below never touch the drop
+            // counters, so reading them live equals reading a snapshot.
+            let delta = rm.mesh().stats().link_drops[idx].saturating_sub(self.last_drops[idx]);
             let breaker = &mut self.breakers[idx];
             match breaker.state() {
                 BreakerState::Closed | BreakerState::Open => {
@@ -205,7 +206,8 @@ impl LinkHealthMonitor {
                 }
             }
         }
-        self.last_drops = drops;
+        self.last_drops
+            .copy_from_slice(&rm.mesh().stats().link_drops);
         self.windows += 1;
         Ok(())
     }

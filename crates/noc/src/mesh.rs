@@ -148,7 +148,8 @@ struct StepScratch {
 
 #[derive(Debug, Clone)]
 struct Router {
-    /// Input buffers indexed `[port][vc]`.
+    /// Input buffers indexed `[port][vc]`. Every push and pop keeps
+    /// [`Mesh::occupied`] in step.
     inputs: Vec<Vec<VecDeque<Packet>>>,
     arbiters: Vec<Arbiter>,
     output_busy_until: Vec<u64>,
@@ -173,6 +174,20 @@ fn dir_of(port: usize) -> Direction {
         WEST => Direction::West,
         _ => unreachable!("the local port has no direction"),
     }
+}
+
+/// The set bits of a router's occupancy mask as `(in_port, vc)` pairs, in
+/// ascending bit order — the same `(in_port, vc)` order a nested port/VC
+/// loop visits, minus the empty queues.
+fn occupied_queues(mask: u64, vcs: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut bits = mask;
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            (i / vcs, i % vcs)
+        })
+    })
 }
 
 /// Sentinel in the reroute tables for "no surviving path".
@@ -381,6 +396,12 @@ impl Clone for TapSlot {
 pub struct Mesh {
     cfg: MeshConfig,
     routers: Vec<Router>,
+    /// Per-router occupancy mask: bit `in_port * vcs + vc` is set iff that
+    /// input queue is non-empty (fits: [`MeshConfig::validate`] caps the
+    /// input count at 64). Phase 0, phase 1 and the recorder's stall pass
+    /// walk the set bits, so an idle router or queue costs nothing per
+    /// cycle. Ascending bit order is ascending `(in_port, vc)` order.
+    occupied: Vec<u64>,
     /// `(x, y)` of every node, so routing and neighbour lookups on the
     /// step's hot path never divide.
     xy: Vec<(usize, usize)>,
@@ -466,6 +487,7 @@ impl Mesh {
         Ok(Self {
             cfg,
             routers: vec![router; n],
+            occupied: vec![0; n],
             xy: (0..n).map(|i| (i % cfg.width, i / cfg.width)).collect(),
             scratch,
             cycle: 0,
@@ -1027,6 +1049,7 @@ impl Mesh {
             birth,
             class,
         });
+        self.occupied[src.index()] |= 1 << (LOCAL * self.cfg.vcs + vc);
         self.next_id += 1;
         self.occupancy += 1;
         self.quiet_until = self.cycle;
@@ -1066,11 +1089,24 @@ impl Mesh {
         std::mem::take(&mut self.lost)
     }
 
+    /// Swaps the ejected and lost lists with the caller's (empty) buffers:
+    /// the reliable layer's per-step drain, which keeps reusing the same
+    /// two pairs of buffers instead of allocating fresh lists.
+    pub(crate) fn swap_drained(
+        &mut self,
+        ejected: &mut Vec<Packet>,
+        lost: &mut Vec<(Packet, LossReason)>,
+    ) {
+        debug_assert!(ejected.is_empty() && lost.is_empty());
+        std::mem::swap(&mut self.ejected, ejected);
+        std::mem::swap(&mut self.lost, lost);
+    }
+
     /// Checks and clears the corruption mark for packet `id`. The reliable
     /// layer calls this at ejection — a `true` return means the payload
     /// failed its CRC and must be NACKed.
     pub fn take_corrupted(&mut self, id: u64) -> bool {
-        self.corrupted.remove(&id)
+        !self.corrupted.is_empty() && self.corrupted.remove(&id)
     }
 
     /// Packets currently buffered anywhere in the mesh. O(1): the count is
@@ -1353,26 +1389,33 @@ impl Mesh {
     /// real link layer raises when the far end stops returning credits — the
     /// observable that lets a health monitor find the dead link.
     fn drop_dead_port_heads(&mut self, f: &FaultState) {
+        // The route tables are built around every quarantined link, so a
+        // head can only be routed into a dead link that is not quarantined.
+        // Until one exists there is nothing to drop.
+        if !f
+            .link_dead
+            .iter()
+            .zip(&f.quarantined)
+            .any(|(dead, quarantined)| *dead && !*quarantined)
+        {
+            return;
+        }
         for r in 0..self.routers.len() {
-            for in_port in 0..NUM_PORTS {
-                for vc in 0..self.cfg.vcs {
-                    let Some(head) = self.routers[r].inputs[in_port][vc].front() else {
-                        continue;
-                    };
-                    let Some(out) = self.route_current(Some(f), r, in_port, head.dst.index())
-                    else {
-                        continue;
-                    };
-                    if out == LOCAL || !f.link_dead[r * NUM_PORTS + out] {
-                        continue;
-                    }
-                    let Some(packet) = self.routers[r].inputs[in_port][vc].pop_front() else {
-                        continue;
-                    };
-                    self.occupancy -= 1;
-                    self.stats.link_drops[r * NUM_PORTS + out] += 1;
-                    self.lost.push((packet, LossReason::DeadLink));
+            for (in_port, vc) in occupied_queues(self.occupied[r], self.cfg.vcs) {
+                let Some(head) = self.routers[r].inputs[in_port][vc].front() else {
+                    continue;
+                };
+                let Some(out) = self.route_current(Some(f), r, in_port, head.dst.index()) else {
+                    continue;
+                };
+                if out == LOCAL || !f.link_dead[r * NUM_PORTS + out] {
+                    continue;
                 }
+                let Some(packet) = self.pop_head(r, in_port, vc) else {
+                    continue;
+                };
+                self.stats.link_drops[r * NUM_PORTS + out] += 1;
+                self.lost.push((packet, LossReason::DeadLink));
             }
         }
     }
@@ -1386,23 +1429,48 @@ impl Mesh {
             return;
         };
         for r in 0..self.routers.len() {
-            for in_port in 0..NUM_PORTS {
-                for vc in 0..self.cfg.vcs {
-                    let Some(head) = self.routers[r].inputs[in_port][vc].front() else {
-                        continue;
-                    };
-                    if routes[head.dst.index()][r * NUM_PORTS + in_port] != UNREACHABLE {
-                        continue;
-                    }
-                    let Some(packet) = self.routers[r].inputs[in_port][vc].pop_front() else {
-                        continue;
-                    };
-                    self.occupancy -= 1;
-                    self.stats.dropped_unroutable += 1;
-                    self.lost.push((packet, LossReason::Unroutable));
+            for (in_port, vc) in occupied_queues(self.occupied[r], self.cfg.vcs) {
+                let Some(head) = self.routers[r].inputs[in_port][vc].front() else {
+                    continue;
+                };
+                if routes[head.dst.index()][r * NUM_PORTS + in_port] != UNREACHABLE {
+                    continue;
                 }
+                let Some(packet) = self.pop_head(r, in_port, vc) else {
+                    continue;
+                };
+                self.stats.dropped_unroutable += 1;
+                self.lost.push((packet, LossReason::Unroutable));
             }
         }
+    }
+
+    /// Pops the head of input queue `(in_port, vc)` at router `r`, keeping
+    /// the occupancy count and the router's occupancy mask in step.
+    fn pop_head(&mut self, r: usize, in_port: usize, vc: usize) -> Option<Packet> {
+        let queue = &mut self.routers[r].inputs[in_port][vc];
+        let packet = queue.pop_front()?;
+        if queue.is_empty() {
+            self.occupied[r] &= !(1 << (in_port * self.cfg.vcs + vc));
+        }
+        self.occupancy -= 1;
+        Some(packet)
+    }
+
+    /// Whether every occupancy-mask bit equals `!queue.is_empty()` — the
+    /// invariant that lets the step skip empty routers and queues.
+    fn occupied_matches_queues(&self) -> bool {
+        self.routers
+            .iter()
+            .zip(&self.occupied)
+            .all(|(router, &mask)| {
+                router
+                    .inputs
+                    .iter()
+                    .flatten()
+                    .enumerate()
+                    .all(|(i, queue)| (mask >> i & 1 == 1) != queue.is_empty())
+            })
     }
 
     /// Whether router `r` is inside a stall window this cycle.
@@ -1516,6 +1584,11 @@ impl Mesh {
     /// [`Mesh::skip_idle_to`] can fast-forward.
     pub fn step(&mut self) {
         let quiet = self.step_inner();
+        debug_assert!(
+            self.occupied_matches_queues(),
+            "occupancy masks diverged from the queues at cycle {}",
+            self.cycle
+        );
         // The bound is only computed when a skip could use it, so the
         // reference engine's per-cycle cost is unchanged. Re-enabling the
         // event engine mid-run starts from the conservative "unknown".
@@ -1579,46 +1652,51 @@ impl Mesh {
             scratch.granted.fill(0);
         }
         for r in 0..self.routers.len() {
-            if faults.as_deref().is_some_and(|f| self.is_stalled(f, r)) {
+            let occupied = self.occupied[r];
+            if occupied == 0 || faults.as_deref().is_some_and(|f| self.is_stalled(f, r)) {
                 continue;
             }
             let router = &self.routers[r];
-            for (in_port, queues) in router.inputs.iter().enumerate() {
-                for (vc, queue) in queues.iter().enumerate() {
-                    let Some(head) = queue.front() else {
-                        continue;
-                    };
-                    let Some(out) =
-                        self.route_current(faults.as_deref(), r, in_port, head.dst.index())
-                    else {
-                        continue;
-                    };
-                    if router.output_busy_until[out] > self.cycle {
-                        continue;
-                    }
-                    if out == LOCAL {
-                        if !self.ejection_enabled[r] {
-                            continue;
-                        }
-                    } else {
-                        if faults
-                            .as_deref()
-                            .is_some_and(|f| f.link_dead[r * NUM_PORTS + out])
-                        {
-                            continue;
-                        }
-                        // Downstream credit on the packet's own VC.
-                        let down = self.neighbour(r, out);
-                        let entry = Self::entry_port(out);
-                        if self.routers[down].inputs[entry][vc].len() >= self.cfg.buffer_packets {
-                            continue;
-                        }
-                    }
-                    scratch.buckets[out].push((in_port * vcs + vc, head.birth));
+            // Bit `out` set iff `buckets[out]` received a candidate.
+            let mut filled = 0u8;
+            for (in_port, vc) in occupied_queues(occupied, vcs) {
+                let Some(head) = router.inputs[in_port][vc].front() else {
+                    continue;
+                };
+                let Some(out) = self.route_current(faults.as_deref(), r, in_port, head.dst.index())
+                else {
+                    continue;
+                };
+                if router.output_busy_until[out] > self.cycle {
+                    continue;
                 }
+                if out == LOCAL {
+                    if !self.ejection_enabled[r] {
+                        continue;
+                    }
+                } else {
+                    if faults
+                        .as_deref()
+                        .is_some_and(|f| f.link_dead[r * NUM_PORTS + out])
+                    {
+                        continue;
+                    }
+                    // Downstream credit on the packet's own VC.
+                    let down = self.neighbour(r, out);
+                    let entry = Self::entry_port(out);
+                    if self.routers[down].inputs[entry][vc].len() >= self.cfg.buffer_packets {
+                        continue;
+                    }
+                }
+                scratch.buckets[out].push((in_port * vcs + vc, head.birth));
+                filled |= 1 << out;
             }
-            for (out, bucket) in scratch.buckets.iter_mut().enumerate() {
-                // An empty bucket yields `None` and leaves the arbiter as it was.
+            // Only filled buckets are arbitrated, in output order: an empty
+            // one would yield `None` and leave its arbiter as it was.
+            while filled != 0 {
+                let out = filled.trailing_zeros() as usize;
+                filled &= filled - 1;
+                let bucket = &mut scratch.buckets[out];
                 let Some(winner) = self.routers[r].arbiters[out].pick(bucket) else {
                     continue;
                 };
@@ -1642,19 +1720,13 @@ impl Mesh {
         // recorder can observe but never perturb.
         if let Some(rec) = rec.as_deref_mut() {
             for r in 0..self.routers.len() {
-                let granted = scratch.granted[r];
-                for in_port in 0..NUM_PORTS {
-                    #[allow(clippy::needless_range_loop)] // vc also indexes downstream state
-                    for vc in 0..vcs {
-                        let Some(head) = self.routers[r].inputs[in_port][vc].front() else {
-                            continue;
-                        };
-                        if granted & (1 << (in_port * vcs + vc)) != 0 {
-                            continue;
-                        }
-                        let kind = self.classify_stall(faults.as_deref(), r, in_port, vc, head);
-                        rec.charge(head.id, kind);
-                    }
+                let waiting = self.occupied[r] & !scratch.granted[r];
+                for (in_port, vc) in occupied_queues(waiting, vcs) {
+                    let Some(head) = self.routers[r].inputs[in_port][vc].front() else {
+                        continue;
+                    };
+                    let kind = self.classify_stall(faults.as_deref(), r, in_port, vc, head);
+                    rec.charge(head.id, kind);
                 }
             }
         }
@@ -1667,13 +1739,12 @@ impl Mesh {
         }
         for &m in &scratch.moves {
             // Invariant: arbitration granted a queue head it just observed.
-            let Some(packet) = self.routers[m.router].inputs[m.in_port][m.vc].pop_front() else {
+            // The packet leaves its buffer; it re-enters one downstream
+            // unless it ejects or dies on the hop.
+            let Some(packet) = self.pop_head(m.router, m.in_port, m.vc) else {
                 debug_assert!(false, "arbitration winner vanished before apply");
                 continue;
             };
-            // The packet left its buffer; it re-enters one downstream unless
-            // it ejects or dies on the hop.
-            self.occupancy -= 1;
             // The flits occupy the wire whether or not they survive the hop.
             self.routers[m.router].output_busy_until[m.out_port] =
                 self.cycle + u64::from(packet.flits);
@@ -1717,17 +1788,14 @@ impl Mesh {
                 self.ejected.push(packet);
             } else {
                 let down = self.neighbour(m.router, m.out_port);
+                let entry = Self::entry_port(m.out_port);
                 if let Some(rec) = rec.as_deref_mut() {
                     // The packet becomes visible to the downstream router's
                     // arbitration on the next cycle.
-                    rec.on_enqueue(
-                        packet.id,
-                        down as u32,
-                        Self::entry_port(m.out_port) as u8,
-                        self.cycle + 1,
-                    );
+                    rec.on_enqueue(packet.id, down as u32, entry as u8, self.cycle + 1);
                 }
-                self.routers[down].inputs[Self::entry_port(m.out_port)][m.vc].push_back(packet);
+                self.routers[down].inputs[entry][m.vc].push_back(packet);
+                self.occupied[down] |= 1 << (entry * vcs + m.vc);
                 self.occupancy += 1;
             }
         }
@@ -1897,14 +1965,12 @@ impl Mesh {
         if let Some(mut rec) = self.recorder.take() {
             let faults = self.faults.take();
             for r in 0..self.routers.len() {
-                for in_port in 0..NUM_PORTS {
-                    for vc in 0..self.cfg.vcs {
-                        let Some(head) = self.routers[r].inputs[in_port][vc].front() else {
-                            continue;
-                        };
-                        let kind = self.classify_stall(faults.as_deref(), r, in_port, vc, head);
-                        rec.charge_n(head.id, kind, n);
-                    }
+                for (in_port, vc) in occupied_queues(self.occupied[r], self.cfg.vcs) {
+                    let Some(head) = self.routers[r].inputs[in_port][vc].front() else {
+                        continue;
+                    };
+                    let kind = self.classify_stall(faults.as_deref(), r, in_port, vc, head);
+                    rec.charge_n(head.id, kind, n);
                 }
             }
             self.faults = faults;

@@ -14,11 +14,12 @@
 
 use crate::error::{LossReason, NocError};
 use crate::mesh::{Mesh, MeshConfig};
-use crate::packet::{NodeId, PacketClass};
+use crate::packet::{NodeId, Packet, PacketClass};
 use gnoc_faults::FaultPlan;
 use gnoc_telemetry::{MetricRegistry, TraceEvent, SUBSYSTEM_NOC};
 use gnoc_trace::{
-    ReplayError, ReplayOutcome, TraceError, TraceEvent as TapEvent, TraceReader, TraceTap,
+    BuildFmix64, ReplayError, ReplayOutcome, TraceError, TraceEvent as TapEvent, TraceReader,
+    TraceTap,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -27,6 +28,15 @@ use std::collections::{HashMap, VecDeque};
 const LAT_BUCKET: u64 = 4;
 /// Number of histogram buckets (tail clamps into the last).
 const LAT_BUCKETS: usize = 512;
+/// Largest backoff exponent: attempt `k` times out after
+/// `base << min(k - 1, MAX_BACKOFF_EXP)` cycles, capped at the maximum.
+const MAX_BACKOFF_EXP: u32 = 20;
+
+/// The backoff class of an attempt number: its timeout exponent. Every
+/// attempt in one class gets the same timeout.
+fn backoff_class(attempts: u32) -> usize {
+    attempts.saturating_sub(1).min(MAX_BACKOFF_EXP) as usize
+}
 
 /// Retry and watchdog policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -197,8 +207,22 @@ pub struct ReliableMesh {
     mesh: Mesh,
     cfg: RetryConfig,
     transfers: Vec<Transfer>,
-    /// Packet id → transfer index, for in-flight packets.
-    by_packet: HashMap<u64, usize>,
+    /// Packet id → transfer index, for in-flight packets. Packet ids are
+    /// unique, so one `fmix64` per key hashes them.
+    by_packet: HashMap<u64, usize, BuildFmix64>,
+    /// ACK deadlines as `(deadline, transfer)`, one FIFO per backoff class.
+    /// Each push in a class adds the same timeout to a non-decreasing
+    /// injection cycle, so every FIFO is sorted by deadline and expiry only
+    /// ever pops fronts. An entry whose transfer is no longer in flight with
+    /// that deadline (delivered, lost, retried) is stale and is dropped when
+    /// it reaches the front.
+    deadlines: Vec<VecDeque<(u64, usize)>>,
+    /// [`ReliableMesh::check_timeouts`]'s reused scratch: expired transfers.
+    expired: Vec<usize>,
+    /// Buffers swapped with the mesh's ejected and lost lists each step, so
+    /// draining them allocates nothing.
+    ejected: Vec<Packet>,
+    lost: Vec<(Packet, LossReason)>,
     /// Transfers waiting to (re)inject, in deterministic FIFO order.
     pending: VecDeque<usize>,
     /// [`ReliableMesh::inject_pending`]'s reused scratch: the transfers it
@@ -228,7 +252,11 @@ impl ReliableMesh {
             mesh,
             cfg,
             transfers: Vec::new(),
-            by_packet: HashMap::new(),
+            by_packet: HashMap::default(),
+            deadlines: vec![VecDeque::new(); MAX_BACKOFF_EXP as usize + 1],
+            expired: Vec::new(),
+            ejected: Vec::new(),
+            lost: Vec::new(),
             pending: VecDeque::new(),
             requeue: VecDeque::new(),
             refused: vec![false; queues],
@@ -444,10 +472,9 @@ impl ReliableMesh {
     }
 
     fn timeout_for(&self, attempts: u32) -> u64 {
-        let exp = attempts.saturating_sub(1).min(20);
         self.cfg
             .base_timeout_cycles
-            .saturating_mul(1u64 << exp)
+            .saturating_mul(1u64 << backoff_class(attempts))
             .min(self.cfg.max_timeout_cycles)
     }
 
@@ -483,11 +510,13 @@ impl ReliableMesh {
             {
                 Some(pid) => {
                     self.by_packet.insert(pid, idx);
-                    let deadline = self.mesh.cycle() + self.timeout_for(t.attempts + 1);
+                    let attempts = t.attempts + 1;
+                    let deadline = self.mesh.cycle() + self.timeout_for(attempts);
                     let t = &mut self.transfers[idx];
-                    t.attempts += 1;
+                    t.attempts = attempts;
                     t.deadline = deadline;
                     t.state = TransferOutcome::InFlight;
+                    self.deadlines[backoff_class(attempts)].push_back((deadline, idx));
                     if deadline < self.next_deadline {
                         self.next_deadline = deadline;
                     }
@@ -536,8 +565,13 @@ impl ReliableMesh {
         self.mesh.step();
         // Events drained below happened during the step, i.e. at cycle-1.
         let now = self.mesh.cycle().saturating_sub(1);
+        // Trade this layer's empty buffers for the mesh's lists; both come
+        // back empty from the drains below, ready for the next swap.
+        let mut ejected = std::mem::take(&mut self.ejected);
+        let mut lost = std::mem::take(&mut self.lost);
+        self.mesh.swap_drained(&mut ejected, &mut lost);
 
-        for pkt in self.mesh.drain_ejected() {
+        for pkt in ejected.drain(..) {
             let corrupt = self.mesh.take_corrupted(pkt.id);
             let Some(idx) = self.by_packet.remove(&pkt.id) else {
                 continue; // direct mesh traffic, not ours
@@ -569,7 +603,7 @@ impl ReliableMesh {
             self.last_activity = now;
         }
 
-        for (pkt, reason) in self.mesh.drain_lost() {
+        for (pkt, reason) in lost.drain(..) {
             let Some(idx) = self.by_packet.remove(&pkt.id) else {
                 continue;
             };
@@ -595,28 +629,76 @@ impl ReliableMesh {
             // Silent drops (flaky / transient): the sender has no way to
             // know yet; the ACK timeout below discovers and retransmits.
         }
+        self.ejected = ejected;
+        self.lost = lost;
 
         self.check_timeouts(now);
         self.check_watchdog(now);
     }
 
+    /// Retries every in-flight transfer whose ACK deadline has passed, in
+    /// transfer-index order, and moves `next_deadline` to the earliest
+    /// deadline still pending. Each class FIFO is popped while its front is
+    /// expired or stale, so its first live entry is the class minimum.
     fn check_timeouts(&mut self, now: u64) {
         if now < self.next_deadline {
             return;
         }
+        let mut expired = std::mem::take(&mut self.expired);
         let mut next = u64::MAX;
-        for idx in 0..self.transfers.len() {
-            let t = &self.transfers[idx];
-            if t.state != TransferOutcome::InFlight {
-                continue;
-            }
-            if t.deadline <= now {
-                self.retry_or_give_up(idx, now);
-            } else if t.deadline < next {
-                next = t.deadline;
+        for fifo in &mut self.deadlines {
+            while let Some(&(deadline, idx)) = fifo.front() {
+                let t = &self.transfers[idx];
+                let live = t.state == TransferOutcome::InFlight && t.deadline == deadline;
+                if live && deadline > now {
+                    next = next.min(deadline);
+                    break;
+                }
+                fifo.pop_front();
+                if live {
+                    expired.push(idx);
+                }
             }
         }
+        expired.sort_unstable();
+        #[cfg(debug_assertions)]
+        self.assert_expiry_matches_scan(now, &expired, next);
+        for &idx in &expired {
+            self.retry_or_give_up(idx, now);
+        }
+        expired.clear();
+        self.expired = expired;
         self.next_deadline = next;
+    }
+
+    /// Verification oracle for the deadline FIFOs: the expired set and the
+    /// next deadline must equal what a full scan of the in-flight transfers
+    /// finds.
+    #[cfg(debug_assertions)]
+    fn assert_expiry_matches_scan(&self, now: u64, expired: &[usize], next: u64) {
+        let in_flight = || {
+            self.transfers
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| t.state == TransferOutcome::InFlight)
+        };
+        let scanned: Vec<usize> = in_flight()
+            .filter(|(_, t)| t.deadline <= now)
+            .map(|(idx, _)| idx)
+            .collect();
+        let scanned_next = in_flight()
+            .map(|(_, t)| t.deadline)
+            .filter(|&d| d > now)
+            .min()
+            .unwrap_or(u64::MAX);
+        assert_eq!(
+            expired, scanned,
+            "deadline FIFOs expired a different set at cycle {now}"
+        );
+        assert_eq!(
+            next, scanned_next,
+            "deadline FIFOs lost the next deadline at cycle {now}"
+        );
     }
 
     fn check_watchdog(&mut self, now: u64) {
@@ -640,6 +722,8 @@ impl ReliableMesh {
         }
         self.stats.lost_watchdog += written_off;
         self.pending.clear();
+        // Every in-flight transfer was just written off: all entries stale.
+        self.deadlines.iter_mut().for_each(VecDeque::clear);
         self.outstanding = 0;
         self.last_activity = now;
         self.mesh.telemetry().emit_with(|| {
@@ -927,6 +1011,38 @@ mod tests {
         // Exactly-once: every transfer resolved exactly one way, and the
         // mesh delivered at least one packet per delivered transfer.
         assert!(rm.mesh().stats().delivered_total >= s.delivered);
+    }
+
+    #[test]
+    fn timeouts_from_different_backoff_classes_retry_in_index_order() {
+        // Transfer 0 times out at cycle 8 and is re-sent at 9 with the
+        // doubled timeout (deadline 25); transfer 1 is first sent at 17
+        // (deadline 25). Both expire together from different class FIFOs,
+        // class 0 first, yet the retries must queue in index order, as a
+        // scan over all transfers would queue them.
+        let cfg = RetryConfig {
+            max_retries: 8,
+            base_timeout_cycles: 8,
+            max_timeout_cycles: 16,
+            watchdog_cycles: 10_000,
+        };
+        let mut rm = ReliableMesh::new(Mesh::new(mesh_cfg()), cfg);
+        // A hung endpoint: nothing is ever acknowledged.
+        rm.mesh_mut().set_ejection_enabled(NodeId::new(2), false);
+        let first = rm.submit(NodeId::new(0), NodeId::new(2), 1, PacketClass::Request);
+        while rm.mesh().cycle() < 17 {
+            rm.step();
+        }
+        let second = rm.submit(NodeId::new(0), NodeId::new(2), 1, PacketClass::Request);
+        while rm.mesh().cycle() <= 25 {
+            rm.step();
+        }
+        assert_eq!(rm.stats().retries, 3);
+        assert!(rm
+            .pending
+            .iter()
+            .copied()
+            .eq([first.index(), second.index()]));
     }
 
     #[test]

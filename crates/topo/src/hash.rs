@@ -48,6 +48,35 @@ impl SplitMix64 {
     }
 }
 
+/// A [`Hasher`](std::hash::Hasher) for keys that are already unique
+/// integers, such as packet ids: each written word is folded in through
+/// [`fmix64`], so one `u64` key costs one mix instead of a SipHash round. Not DoS-resistant, which simulator-internal maps do not need.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Fmix64Hasher(u64);
+
+impl std::hash::Hasher for Fmix64Hasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = fmix64(self.0 ^ n);
+    }
+}
+
+/// The [`BuildHasher`](std::hash::BuildHasher) of [`Fmix64Hasher`], for
+/// `HashMap<u64, _, BuildFmix64>`.
+pub type BuildFmix64 = std::hash::BuildHasherDefault<Fmix64Hasher>;
+
 /// FNV-1a 64 of `bytes`: the workspace's content hash for plan, stats,
 /// cache-key, and matrix digests. Fast and non-cryptographic — it detects
 /// drift and corruption, not adversarial collisions.
@@ -65,6 +94,17 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fmix64_hasher_mixes_one_word_once() {
+        use std::hash::{BuildHasher, Hash, Hasher};
+        let mut h = Fmix64Hasher::default();
+        42u64.hash(&mut h);
+        assert_eq!(h.finish(), fmix64(42));
+        let build = BuildFmix64::default();
+        assert_eq!(build.hash_one(42u64), build.hash_one(42u64));
+        assert_ne!(build.hash_one(1u64), build.hash_one(2u64));
+    }
 
     #[test]
     fn splitmix64_reference_vector() {

@@ -67,6 +67,10 @@ const CHUNK_FOOTER: u8 = 3;
 /// stats digests; defined once in `gnoc_topo::hash`.
 pub use gnoc_topo::hash::fnv1a64;
 
+/// The `fmix64` map hasher for integer-id keys, re-exported from
+/// `gnoc_topo::hash` so the layers above the trace share its one definition.
+pub use gnoc_topo::hash::BuildFmix64;
+
 /// CRC32 (IEEE 802.3, reflected) over `bytes`.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {

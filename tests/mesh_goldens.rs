@@ -18,7 +18,11 @@ use gnoc_core::noc::{
 };
 use gnoc_core::trace::fnv1a64;
 use gnoc_core::trace_digest::{fabric_stats_line, line_digest, mesh_stats_line};
-use gnoc_core::{FabricConfig, FabricSim, FabricTopology, FaultPlan, Mesh, ProfileReport};
+use gnoc_core::{
+    FabricConfig, FabricHealthConfig, FabricHealthMonitor, FabricSim, FabricTopology,
+    FaultGenConfig, FaultPlan, FlakyBurst, HealthConfig, Mesh, ProfileReport, RegionFault,
+    SelfHealingMesh,
+};
 use std::collections::VecDeque;
 
 /// splitmix64 step.
@@ -272,4 +276,129 @@ fn flight_recorded_soak_profile_is_pinned() {
     let profile = hex(fnv1a64(report.to_json_pretty().as_bytes()));
     assert_eq!(stats, "017cd6347291f86e", "stats digest");
     assert_eq!(profile, "e9a4b98d848562f9", "profile digest");
+}
+
+/// The chaos soak's die-level fault archetypes on its 5x5 mesh, selected by
+/// `seed % 5`: benign; 12% dead links; dead + flaky links and a stalled
+/// router; a dead-link onset storm over a regional failure; a flaky burst
+/// with transient drops and corruption. With `devices` set, a 4-device ring
+/// plan that also kills one fabric link.
+fn chaos_plan(seed: u64, devices: u32) -> FaultPlan {
+    let mut g = FaultGenConfig::benign(seed, 5, 5);
+    if devices >= 2 {
+        g.devices = devices;
+        g.fabric_topology = FabricTopology::Ring;
+        g.dead_fabric_links = 1;
+    }
+    match seed % 5 {
+        0 => {}
+        1 => g.dead_link_fraction = 0.12,
+        2 => {
+            g.dead_link_fraction = 0.06;
+            g.flaky_links = 4;
+            g.flaky_drop_prob = 0.30;
+            g.stalled_routers = 1;
+            g.stall_duration = 500;
+            g.onset = 64;
+        }
+        3 => {
+            g.dead_link_fraction = 0.05;
+            g.onset_storm_span = 4_000;
+            g.region = Some(RegionFault {
+                center: 12,
+                radius: 2,
+                dead_fraction: 0.6,
+            });
+        }
+        _ => {
+            g.burst = Some(FlakyBurst {
+                links: 6,
+                drop_prob: 0.25,
+                onset: 1_500,
+            });
+            g.transient_drop_prob = 0.0015;
+            g.transient_corrupt_prob = 0.0008;
+            g.onset = 200;
+        }
+    }
+    FaultPlan::generate(&g)
+}
+
+/// Hidden-plan link detection as the chaos detection oracle runs it: a
+/// self-healing 5x5 mesh patrolled until 8000 cycles past the last onset.
+/// Digests the health report, the retry layer's stats and the mesh stats.
+fn detection_digest(seed: u64) -> String {
+    let plan = chaos_plan(seed, 1);
+    let mut healer = SelfHealingMesh::new(
+        MeshConfig::new(5, 5, ArbiterKind::RoundRobin),
+        &plan,
+        RetryConfig::default(),
+        HealthConfig::default(),
+    )
+    .expect("chaos plans fit the mesh");
+    // The golden is only worth pinning if each archetype carries its faults.
+    match seed % 5 {
+        0 => assert!(plan.links.is_empty(), "benign plan"),
+        2 => assert!(!plan.routers.is_empty(), "router stall"),
+        4 => assert!(plan.transient.is_active(), "transient drop/corruption"),
+        _ => assert!(!plan.links.is_empty(), "dead links"),
+    }
+    let last_onset = plan.links.iter().map(|l| l.onset).max().unwrap_or(0);
+    healer
+        .run_detection(last_onset + 8_000)
+        .expect("detection run");
+    let rm = healer.rm();
+    let line = format!(
+        "{}\n{}\n{{\"cycle\":{},\"stats\":{}}}",
+        serde_json::to_string(&healer.report()).expect("health report serializes"),
+        serde_json::to_string(rm.stats()).expect("reliability stats serialize"),
+        rm.mesh().cycle(),
+        serde_json::to_string(rm.mesh().stats()).expect("mesh stats serialize"),
+    );
+    hex(fnv1a64(line.as_bytes()))
+}
+
+#[test]
+fn self_healing_detection_is_pinned() {
+    let pinned = [
+        (0, "789c52c3d2c5037a"),
+        (1, "f581d8c70c364343"),
+        (2, "f2bcb5c58a1e7e43"),
+        (3, "405d0d75874a4ab6"),
+        (4, "c4aa8b93e5a23a45"),
+    ];
+    let got: Vec<(u64, String)> = pinned
+        .iter()
+        .map(|&(seed, _)| (seed, detection_digest(seed)))
+        .collect();
+    for ((seed, want), (_, digest)) in pinned.iter().zip(&got) {
+        assert_eq!(
+            digest, want,
+            "detection digest for chaos plan {seed}: {got:?}"
+        );
+    }
+
+    // Fabric-link detection on a 4-device ring with one dead fabric link.
+    let plan = chaos_plan(1, 4);
+    let mut fc = FabricConfig::new(4, FabricTopology::Ring);
+    fc.mesh = MeshConfig::new(5, 5, ArbiterKind::RoundRobin);
+    fc.self_healing = true;
+    let mut sim = FabricSim::with_faults(fc, &plan).expect("ring plan fits the fabric");
+    let mut monitor = FabricHealthMonitor::new(&sim, FabricHealthConfig::default());
+    let last_onset = plan.fabric.links.iter().map(|l| l.onset).max().unwrap_or(0);
+    monitor.run_detection(&mut sim, last_onset + 8_000);
+    assert!(
+        !monitor.detected_links(&sim).is_empty(),
+        "the dead fabric link must be detected"
+    );
+    let line = format!(
+        "{}\n{}",
+        serde_json::to_string(&monitor.report(&sim)).expect("fabric report serializes"),
+        fabric_stats_line(&sim).expect("fabric stats serialize"),
+    );
+    assert_eq!(
+        hex(fnv1a64(line.as_bytes())),
+        "532eacc7f0c234e9",
+        "fabric detection digest"
+    );
 }
