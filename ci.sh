@@ -66,6 +66,34 @@ cmp "$tmp/prof_a.json" "$tmp/prof_c.json"
 cmp "$tmp/prof_a.json.trace.json" "$tmp/prof_b.json.trace.json"
 cmp "$tmp/prof_a.json.trace.json" "$tmp/prof_c.json.trace.json"
 
+echo "== profile: 4-device ring fabric determinism (--jobs 1 vs 2, cycle vs event) =="
+# The mesh and the fabric share one profile path; the fabric's report,
+# Perfetto trace, and chaos profile artifacts must be as worker-count- and
+# engine-independent as the die's.
+fabric_profile() { # <tag> <global flags...>
+    local tag=$1
+    shift
+    cargo run --release -q -p gnoc-cli --bin gnoc -- "$@" \
+        profile --devices 4 --topology ring --report "$tmp/fprof_$tag.json" \
+        --perfetto "$tmp/fprof_$tag.trace.json" > /dev/null
+}
+fabric_profile j1 --jobs 1
+fabric_profile j2 --jobs 2
+fabric_profile cyc --engine cycle
+for other in j2 cyc; do
+    cmp "$tmp/fprof_j1.json" "$tmp/fprof_$other.json"
+    cmp "$tmp/fprof_j1.trace.json" "$tmp/fprof_$other.trace.json"
+done
+for jobs in 1 2; do
+    cargo run --release -q -p gnoc-cli --bin gnoc -- --jobs "$jobs" \
+        chaos run --devices 4 --topology ring --seeds 0..3 \
+        --report "$tmp/fchaos_j$jobs.report.json" \
+        --profile "$tmp/fchaos_j$jobs.json" > /dev/null
+done
+cmp "$tmp/fchaos_j1.report.json" "$tmp/fchaos_j2.report.json"
+cmp "$tmp/fchaos_j1.json" "$tmp/fchaos_j2.json"
+cmp "$tmp/fchaos_j1.json.trace.json" "$tmp/fchaos_j2.json.trace.json"
+
 echo "== engine parity: cycle-exact artifacts byte-identical to event =="
 # The same soaks forced onto the cycle-exact core (--engine cycle) must
 # reproduce the event engine's profile, trace, and chaos artifacts byte for

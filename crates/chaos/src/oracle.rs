@@ -1,7 +1,8 @@
 //! The invariant oracles a chaos iteration checks, and the violation record
 //! they produce.
 
-use gnoc_core::{FabricSim, LatencyCampaign, ReliableMesh, TransferOutcome};
+use gnoc_core::soak::Soak;
+use gnoc_core::{FabricSim, LatencyCampaign, TransferOutcome};
 use serde::{Deserialize, Serialize};
 
 /// Which invariant a chaos iteration checks.
@@ -81,35 +82,37 @@ pub struct Violation {
     pub detail: String,
 }
 
-/// Checks the exactly-once-or-reported-lost delivery accounting.
+/// Checks the exactly-once-or-reported-lost delivery accounting: every
+/// transfer submitted to the die (or, across devices, to the fabric) is
+/// delivered exactly once or reported lost with a reason, and the outcome
+/// list agrees with the aggregate counters.
 pub(crate) fn check_delivery(
     expected_submitted: u64,
     quiesced: bool,
-    rm: &ReliableMesh,
+    soak: &Soak,
 ) -> Result<(), String> {
-    let stats = rm.stats();
-    if stats.submitted != expected_submitted {
+    let submitted = soak.submitted();
+    if submitted != expected_submitted {
         return Err(format!(
-            "submitted accounting off: stats say {} but {} were submitted",
-            stats.submitted, expected_submitted
+            "submitted accounting off: stats say {submitted} but {expected_submitted} were submitted"
         ));
     }
     let mut delivered = 0u64;
     let mut lost = 0u64;
     let mut unresolved = 0u64;
-    for o in rm.outcomes() {
+    for o in soak.outcomes() {
         match o {
             TransferOutcome::Delivered { .. } => delivered += 1,
             TransferOutcome::Lost { .. } => lost += 1,
             TransferOutcome::Pending | TransferOutcome::InFlight => unresolved += 1,
         }
     }
-    if delivered != stats.delivered || lost != stats.lost_total() {
+    if delivered != soak.delivered() || lost != soak.lost() {
         return Err(format!(
             "outcome/stats disagree: outcomes say {delivered} delivered + {lost} lost, \
              stats say {} delivered + {} lost",
-            stats.delivered,
-            stats.lost_total()
+            soak.delivered(),
+            soak.lost()
         ));
     }
     if delivered + lost + unresolved != expected_submitted {
@@ -127,93 +130,33 @@ pub(crate) fn check_delivery(
 }
 
 /// Checks deadlock/livelock freedom: the run must quiesce within its budget
-/// and the watchdog must never trip. Stalls and retries are bounded (stall
-/// durations and retry timeouts are orders of magnitude below the watchdog
-/// window), so a trip on correct routing is impossible — it means packets
-/// are holding buffers in a cycle.
-pub(crate) fn check_progress(quiesced: bool, rm: &ReliableMesh) -> Result<(), String> {
-    let stats = rm.stats();
-    if rm.watchdog_tripped() {
-        return Err(format!(
-            "watchdog tripped {} time(s), writing off {} transfer(s): the network \
-             stopped making progress",
-            stats.watchdog_trips, stats.lost_watchdog
-        ));
-    }
-    if !quiesced {
-        return Err(format!(
-            "{} transfer(s) still unresolved when the virtual-cycle budget ran out",
-            rm.outstanding()
-        ));
-    }
-    Ok(())
-}
-
-/// Fabric analogue of [`check_delivery`]: every cross-device (and
-/// same-device) transfer submitted to the fabric is delivered exactly once
-/// or reported lost with a reason, and the outcome list agrees with the
-/// aggregate counters.
-pub(crate) fn check_fabric_delivery(
-    expected_submitted: u64,
-    quiesced: bool,
-    sim: &FabricSim,
-) -> Result<(), String> {
-    let stats = sim.stats();
-    if stats.submitted != expected_submitted {
-        return Err(format!(
-            "submitted accounting off: stats say {} but {} were submitted",
-            stats.submitted, expected_submitted
-        ));
-    }
-    let mut delivered = 0u64;
-    let mut lost = 0u64;
-    let mut unresolved = 0u64;
-    for o in sim.outcomes() {
-        match o {
-            TransferOutcome::Delivered { .. } => delivered += 1,
-            TransferOutcome::Lost { .. } => lost += 1,
-            TransferOutcome::Pending | TransferOutcome::InFlight => unresolved += 1,
+/// and no watchdog may write transfers off. Stalls and retries are bounded
+/// (stall durations, retry timeouts, and the fabric's 64 crossing attempts
+/// x 16-cycle backoff are orders of magnitude below the watchdog window),
+/// so a trip on correct routing is impossible — it means packets are
+/// holding buffers in a cycle, or the fabric stopped making progress.
+pub(crate) fn check_progress(quiesced: bool, soak: &Soak) -> Result<(), String> {
+    match soak {
+        Soak::Mesh(rm) if rm.watchdog_tripped() => {
+            let stats = rm.stats();
+            return Err(format!(
+                "watchdog tripped {} time(s), writing off {} transfer(s): the network \
+                 stopped making progress",
+                stats.watchdog_trips, stats.lost_watchdog
+            ));
         }
-    }
-    if delivered != stats.delivered || lost != stats.lost_total() {
-        return Err(format!(
-            "outcome/stats disagree: outcomes say {delivered} delivered + {lost} lost, \
-             stats say {} delivered + {} lost",
-            stats.delivered,
-            stats.lost_total()
-        ));
-    }
-    if delivered + lost + unresolved != expected_submitted {
-        return Err(format!(
-            "transfers unaccounted for: {delivered} delivered + {lost} lost + \
-             {unresolved} unresolved != {expected_submitted} submitted"
-        ));
-    }
-    if quiesced && unresolved != 0 {
-        return Err(format!(
-            "{unresolved} transfers neither delivered nor reported lost after quiescence"
-        ));
-    }
-    Ok(())
-}
-
-/// Fabric analogue of [`check_progress`]: the multi-device run must quiesce
-/// within its budget and neither the fabric watchdog nor any die watchdog
-/// may write transfers off. Crossing retries are bounded (64 attempts x a
-/// 16-cycle backoff, three orders of magnitude below the watchdog window),
-/// so a trip means the fabric stopped making progress, not that it was slow.
-pub(crate) fn check_fabric_progress(quiesced: bool, sim: &FabricSim) -> Result<(), String> {
-    let stats = sim.stats();
-    if stats.lost_watchdog > 0 {
-        return Err(format!(
-            "watchdog wrote off {} transfer(s): the fabric stopped making progress",
-            stats.lost_watchdog
-        ));
+        Soak::Fabric(sim) if sim.stats().lost_watchdog > 0 => {
+            return Err(format!(
+                "watchdog wrote off {} transfer(s): the fabric stopped making progress",
+                sim.stats().lost_watchdog
+            ));
+        }
+        _ => {}
     }
     if !quiesced {
         return Err(format!(
             "{} transfer(s) still unresolved when the virtual-cycle budget ran out",
-            sim.outstanding()
+            soak.outstanding()
         ));
     }
     Ok(())

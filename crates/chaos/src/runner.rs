@@ -3,18 +3,18 @@
 
 use crate::config::{calibration_safe, ChaosConfig};
 use crate::oracle::{
-    check_calibration, check_delivery, check_differential, check_fabric_delivery,
-    check_fabric_differential, check_fabric_progress, check_progress, check_resume, OracleKind,
-    Violation,
+    check_calibration, check_delivery, check_differential, check_fabric_differential,
+    check_progress, check_resume, OracleKind, Violation,
 };
 use crate::shrink::{ddmin, decompose};
 use crate::ChaosError;
 use gnoc_core::faults::LinkFaultKind;
 use gnoc_core::health::run_slice_detection_for_spec;
 use gnoc_core::noc::{NodeId, PacketClass};
+use gnoc_core::soak::Soak;
 use gnoc_core::telemetry::TelemetryHandle;
 use gnoc_core::topo::hash::SplitMix64;
-use gnoc_core::trace::{fnv1a64, from_hex, to_hex, TraceHeader, TraceReader, TraceTap};
+use gnoc_core::trace::{from_hex, to_hex, TraceHeader, TraceReader, TraceTap};
 use gnoc_core::trace_digest;
 use gnoc_core::{
     device_for_preset, spec_for_preset, ArbiterKind, CheckpointedCampaign, FabricConfig,
@@ -29,8 +29,10 @@ use std::time::Instant;
 
 /// Format version of chaos state files.
 pub const CHAOS_STATE_VERSION: u32 = 1;
-/// Format version of reproducer files.
-pub const REPRODUCER_VERSION: u32 = 1;
+/// Format version of reproducer files. Since version 2 the embedded trace's
+/// footer seals the canonical stats-line digest, the one every replay path
+/// recomputes; older files are refused rather than replayed against it.
+pub const REPRODUCER_VERSION: u32 = 2;
 
 /// Predicate-evaluation budget handed to the shrinker per violation.
 const SHRINK_MAX_TESTS: usize = 96;
@@ -102,43 +104,57 @@ fn soak_mesh_config(cfg: &ChaosConfig) -> MeshConfig {
     )
 }
 
-/// Canonical outcome digest of a finished NoC soak: the cycle count plus
-/// the JSON-serialized reliability stats. Two runs with equal fingerprints
-/// made the same deliveries, retries, losses, and latency histogram in the
-/// same number of cycles.
-fn mesh_fingerprint(rm: &ReliableMesh) -> u64 {
-    let stats = serde_json::to_string(rm.stats()).unwrap_or_default();
-    fnv1a64(format!("cycle={};{stats}", rm.mesh().cycle()).as_bytes())
+/// The chaos soak for `cfg` under `plan`: a reliable die mesh, or the
+/// fabric for multi-device configs, with the configured bug hook armed.
+/// Every soak an iteration, its replay twin, its reproducer recording, and
+/// its profile run builds comes from here, so they cannot drift apart.
+fn build_soak(cfg: &ChaosConfig, plan: &FaultPlan) -> Result<Soak, String> {
+    let soak = if cfg.devices >= 2 {
+        let sim = FabricSim::with_faults(fabric_config(cfg), plan).map_err(|e| e.to_string())?;
+        Soak::Fabric(Box::new(sim))
+    } else {
+        let rm = ReliableMesh::with_faults(soak_mesh_config(cfg), plan, cfg.retry)
+            .map_err(|e| e.to_string())?;
+        Soak::Mesh(Box::new(rm))
+    };
+    #[cfg(feature = "bug-hooks")]
+    let soak = {
+        let mut soak = soak;
+        match &mut soak {
+            Soak::Mesh(rm) if cfg.greedy_reroute_bug => rm.mesh_mut().enable_greedy_reroute_bug(),
+            Soak::Fabric(sim) if cfg.fabric_stuck_crossing_bug => sim.enable_stuck_crossing_bug(),
+            _ => {}
+        }
+        soak
+    };
+    Ok(soak)
 }
 
-/// Fabric counterpart of [`mesh_fingerprint`].
-fn fabric_fingerprint(sim: &FabricSim) -> u64 {
-    let stats = serde_json::to_string(sim.stats()).unwrap_or_default();
-    fnv1a64(format!("cycle={};{stats}", sim.cycle()).as_bytes())
+/// The digest a soak's trace footer seals: the canonical stats line's, the
+/// same one `gnoc trace replay` and the daemon recompute.
+fn sealed_digest(soak: &Soak) -> Result<u64, String> {
+    soak.stats_line()
+        .map(|line| trace_digest::line_digest(&line))
+        .map_err(|e| format!("harness: stats line failed: {e}"))
 }
 
-/// The trace header a chaos NoC soak records under.
-fn mesh_trace_header(cfg: &ChaosConfig, seed: u64, plan: &FaultPlan) -> TraceHeader {
-    TraceHeader::mesh(
-        cfg.width,
-        cfg.height,
-        seed,
-        u64::from(cfg.transfers),
-        trace_digest::plan_digest(Some(plan)),
-    )
-}
-
-/// The trace header a chaos fabric soak records under.
-fn fabric_trace_header(cfg: &ChaosConfig, seed: u64, plan: &FaultPlan) -> TraceHeader {
-    TraceHeader::fabric(
-        cfg.devices,
-        cfg.fabric_topology().name(),
-        cfg.width,
-        cfg.height,
-        seed,
-        u64::from(cfg.transfers),
-        trace_digest::plan_digest(Some(plan)),
-    )
+/// The trace header a chaos soak records under.
+fn trace_header(cfg: &ChaosConfig, seed: u64, plan: &FaultPlan) -> TraceHeader {
+    let transfers = u64::from(cfg.transfers);
+    let plan_fnv = trace_digest::plan_digest(Some(plan));
+    if cfg.devices >= 2 {
+        TraceHeader::fabric(
+            cfg.devices,
+            cfg.fabric_topology().name(),
+            cfg.width,
+            cfg.height,
+            seed,
+            transfers,
+            plan_fnv,
+        )
+    } else {
+        TraceHeader::mesh(cfg.width, cfg.height, seed, transfers, plan_fnv)
+    }
 }
 
 /// What one chaos iteration observed.
@@ -470,65 +486,11 @@ fn iteration_body(
         }),
     };
 
-    // --- Fabric soak: multi-device configs route the soak through the
-    // inter-device fabric instead of a lone die (the dies still run,
-    // composed under every transfer's first and last leg). ---
-    if cfg.devices >= 2 {
-        for (kind, result) in fabric_soak_phase(cfg, seed, plan) {
-            record(kind, result, &mut violations, &mut passes);
-        }
-    } else {
-        // --- NoC soak: reliable delivery over the faulted mesh. ---
-        // Single-VC wormhole buffers: legitimate for independent transfers
-        // (no request/reply coupling) and exactly the surface the historical
-        // reroute-deadlock bug lived on, so the progress oracle keeps bite.
-        let mesh_cfg = soak_mesh_config(cfg);
-        match ReliableMesh::with_faults(mesh_cfg, plan, cfg.retry) {
-            Err(e) => violations.push(Violation {
-                oracle: OracleKind::Delivery,
-                seed,
-                detail: format!("harness: mesh rejected a generated plan: {e}"),
-            }),
-            Ok(mut rm) => {
-                #[cfg(feature = "bug-hooks")]
-                if cfg.greedy_reroute_bug {
-                    rm.mesh_mut().enable_greedy_reroute_bug();
-                }
-                if cfg.replay {
-                    rm.attach_trace_tap(TraceTap::in_memory(&mesh_trace_header(cfg, seed, plan)));
-                }
-                match submit_mesh_traffic(&mut rm, cfg, seed) {
-                    Err(detail) => violations.push(Violation {
-                        oracle: OracleKind::Delivery,
-                        seed,
-                        detail,
-                    }),
-                    Ok(()) => {
-                        let quiesced = rm.run_until_quiescent(cfg.soak_cycle_budget);
-                        record(
-                            OracleKind::Delivery,
-                            check_delivery(u64::from(cfg.transfers), quiesced, &rm),
-                            &mut violations,
-                            &mut passes,
-                        );
-                        record(
-                            OracleKind::Progress,
-                            check_progress(quiesced, &rm),
-                            &mut violations,
-                            &mut passes,
-                        );
-                        if cfg.replay {
-                            record(
-                                OracleKind::Replay,
-                                check_replay_mesh(cfg, plan, &mut rm, quiesced),
-                                &mut violations,
-                                &mut passes,
-                            );
-                        }
-                    }
-                }
-            }
-        }
+    // --- Soak: reliable delivery over the faulted die, or, for
+    // multi-device configs, over the inter-device fabric (the dies still
+    // run, composed under every transfer's first and last leg). ---
+    for (kind, result) in soak_phase(cfg, seed, plan) {
+        record(kind, result, &mut violations, &mut passes);
     }
 
     // --- Hidden-plan detection oracle. ---
@@ -616,15 +578,20 @@ fn device_phase(
     Ok(results)
 }
 
-/// Submits the single-die soak's deterministic traffic: `cfg.transfers`
-/// transfers with distinct endpoints, alternating packet classes, and
-/// 1–4 flits, drawn from the seeded splitmix stream.
-fn submit_mesh_traffic(rm: &mut ReliableMesh, cfg: &ChaosConfig, seed: u64) -> Result<(), String> {
-    for (src, dst, flits, class) in mesh_transfers(cfg, seed) {
-        rm.submit_checked(src, dst, flits, class)
-            .map_err(|e| format!("harness: in-range submit rejected: {e}"))?;
+/// Submits the soak's deterministic traffic: `cfg.transfers` transfers
+/// with alternating packet classes and 1–4 flits, drawn from the seeded
+/// splitmix stream.
+fn submit_traffic(soak: &mut Soak, cfg: &ChaosConfig, seed: u64) -> Result<(), String> {
+    match soak {
+        Soak::Mesh(rm) => {
+            for (src, dst, flits, class) in mesh_transfers(cfg, seed) {
+                rm.submit_checked(src, dst, flits, class)
+                    .map_err(|e| format!("harness: in-range submit rejected: {e}"))?;
+            }
+            Ok(())
+        }
+        Soak::Fabric(sim) => submit_fabric_traffic(sim, cfg, seed),
     }
-    Ok(())
 }
 
 /// The fabric configuration a multi-device chaos iteration runs under: the
@@ -671,152 +638,100 @@ fn submit_fabric_traffic(sim: &mut FabricSim, cfg: &ChaosConfig, seed: u64) -> R
     Ok(())
 }
 
-/// The multi-device analogue of the NoC soak: deterministic cross-device
-/// traffic over the faulted fabric, checked by the fabric delivery and
-/// progress oracles, plus a golden (fault-free, same traffic) replay for
-/// the differential oracle.
-fn fabric_soak_phase(
+/// The soak phase of an iteration: deterministic traffic over the faulted
+/// die or fabric, checked by the delivery and progress oracles, then (for
+/// a fabric) the golden differential and (with `cfg.replay`) the
+/// recorded-vs-replayed oracle.
+///
+/// A single die uses single-VC wormhole buffers: legitimate for independent
+/// transfers (no request/reply coupling) and exactly the surface the
+/// historical reroute-deadlock bug lived on, so the progress oracle keeps
+/// bite.
+fn soak_phase(
     cfg: &ChaosConfig,
     seed: u64,
     plan: &FaultPlan,
 ) -> Vec<(OracleKind, Result<(), String>)> {
-    let fc = fabric_config(cfg);
-    let mut sim = match FabricSim::with_faults(fc.clone(), plan) {
+    let mut soak = match build_soak(cfg, plan) {
         Err(e) => {
+            let kind = if cfg.devices >= 2 { "fabric" } else { "mesh" };
             return vec![(
                 OracleKind::Delivery,
-                Err(format!("harness: fabric rejected a generated plan: {e}")),
-            )]
+                Err(format!("harness: {kind} rejected a generated plan: {e}")),
+            )];
         }
-        Ok(sim) => sim,
+        Ok(soak) => soak,
     };
-    #[cfg(feature = "bug-hooks")]
-    if cfg.fabric_stuck_crossing_bug {
-        sim.enable_stuck_crossing_bug();
-    }
     if cfg.replay {
-        sim.attach_trace_tap(TraceTap::in_memory(&fabric_trace_header(cfg, seed, plan)));
+        soak.attach_trace_tap(TraceTap::in_memory(&trace_header(cfg, seed, plan)));
     }
-    if let Err(detail) = submit_fabric_traffic(&mut sim, cfg, seed) {
+    if let Err(detail) = submit_traffic(&mut soak, cfg, seed) {
         return vec![(OracleKind::Delivery, Err(detail))];
     }
-    let quiesced = sim.run_until_quiescent(cfg.soak_cycle_budget);
-
-    // Golden replay: identical traffic on an empty plan carrying the same
-    // seed, so a benign generated plan constructs a bit-identical twin (a
-    // benign plan draws nothing from the fault RNG — only the seed's
-    // identity matters for the comparison).
-    let golden_plan = FaultPlan {
-        seed: plan.seed,
-        ..FaultPlan::default()
-    };
-    let mut golden = match FabricSim::with_faults(fc, &golden_plan) {
-        Err(e) => {
-            return vec![(
-                OracleKind::Differential,
-                Err(format!("harness: golden fabric construction failed: {e}")),
-            )]
-        }
-        Ok(sim) => sim,
-    };
-    let _ = submit_fabric_traffic(&mut golden, cfg, seed);
-    golden.run_until_quiescent(cfg.soak_cycle_budget);
-
+    let quiesced = soak.run_until_quiescent(cfg.soak_cycle_budget);
     let mut results = vec![
         (
             OracleKind::Delivery,
-            check_fabric_delivery(u64::from(cfg.transfers), quiesced, &sim),
+            check_delivery(u64::from(cfg.transfers), quiesced, &soak),
         ),
-        (OracleKind::Progress, check_fabric_progress(quiesced, &sim)),
-        (
-            OracleKind::Differential,
-            check_fabric_differential(plan.is_benign(), &golden, &sim),
-        ),
+        (OracleKind::Progress, check_progress(quiesced, &soak)),
     ];
+    if let Soak::Fabric(sim) = &soak {
+        match golden_fabric(cfg, seed, plan) {
+            Err(detail) => return vec![(OracleKind::Differential, Err(detail))],
+            Ok(golden) => results.push((
+                OracleKind::Differential,
+                check_fabric_differential(plan.is_benign(), &golden, sim),
+            )),
+        }
+    }
     if cfg.replay {
         results.push((
             OracleKind::Replay,
-            check_replay_fabric(cfg, plan, &mut sim, quiesced),
+            check_replay(cfg, plan, &mut soak, quiesced),
         ));
     }
     results
 }
 
-/// The recorded-vs-replayed oracle for the NoC soak: finalizes the trace the
-/// soak just recorded, replays it into a freshly built twin (same plan, same
-/// bug hooks), runs the twin under the same cycle budget, and demands an
-/// identical outcome fingerprint. Any nondeterminism between recording and
-/// replaying — in the trace codec, the replay driver, or the simulator
-/// itself — surfaces here as a violation.
-fn check_replay_mesh(
-    cfg: &ChaosConfig,
-    plan: &FaultPlan,
-    rm: &mut ReliableMesh,
-    quiesced: bool,
-) -> Result<(), String> {
-    let tap = rm
-        .take_trace_tap()
-        .ok_or_else(|| "harness: replay oracle ran without a record tap".to_string())?;
-    let recorded = mesh_fingerprint(rm);
-    let bytes = tap
-        .finish_bytes(recorded)
-        .map_err(|e| format!("harness: trace capture failed: {e}"))?;
-
-    let mesh_cfg = soak_mesh_config(cfg);
-    let mut twin = ReliableMesh::with_faults(mesh_cfg, plan, cfg.retry)
-        .map_err(|e| format!("harness: replay twin construction failed: {e}"))?;
-    #[cfg(feature = "bug-hooks")]
-    if cfg.greedy_reroute_bug {
-        twin.mesh_mut().enable_greedy_reroute_bug();
-    }
-    let mut reader = TraceReader::from_bytes(bytes)
-        .map_err(|e| format!("recorded trace failed to parse: {e}"))?;
-    let outcome = twin
-        .replay_from(&mut reader)
-        .map_err(|e| format!("replay diverged at submit time: {e}"))?;
-    if let Some((chunk, offset)) = outcome.truncated {
-        return Err(format!(
-            "in-memory trace reported truncation at chunk {chunk}, offset {offset}"
-        ));
-    }
-    let twin_quiesced = twin.run_until_quiescent(cfg.soak_cycle_budget);
-    if twin_quiesced != quiesced {
-        return Err(format!(
-            "replayed quiescence {twin_quiesced} != recorded {quiesced}"
-        ));
-    }
-    let replayed = mesh_fingerprint(&twin);
-    if replayed != recorded {
-        return Err(format!(
-            "replayed outcome fingerprint {replayed:016x} != recorded {recorded:016x} \
-             over {} events",
-            outcome.replayed
-        ));
-    }
-    Ok(())
+/// The differential oracle's golden run: the fabric soak's traffic on an
+/// empty plan carrying the same seed, so a benign generated plan
+/// constructs a bit-identical twin (a benign plan draws nothing from the
+/// fault RNG — only the seed's identity matters for the comparison).
+fn golden_fabric(cfg: &ChaosConfig, seed: u64, plan: &FaultPlan) -> Result<FabricSim, String> {
+    let golden_plan = FaultPlan {
+        seed: plan.seed,
+        ..FaultPlan::default()
+    };
+    let mut golden = FabricSim::with_faults(fabric_config(cfg), &golden_plan)
+        .map_err(|e| format!("harness: golden fabric construction failed: {e}"))?;
+    let _ = submit_fabric_traffic(&mut golden, cfg, seed);
+    golden.run_until_quiescent(cfg.soak_cycle_budget);
+    Ok(golden)
 }
 
-/// Fabric counterpart of [`check_replay_mesh`].
-fn check_replay_fabric(
+/// The recorded-vs-replayed oracle: finalizes the trace the soak just
+/// recorded, replays it into a freshly built twin (same plan, same bug
+/// hooks), runs the twin under the same cycle budget, and demands an
+/// identical canonical stats digest. Any nondeterminism between recording
+/// and replaying — in the trace codec, the replay driver, or the simulator
+/// itself — surfaces here as a violation.
+fn check_replay(
     cfg: &ChaosConfig,
     plan: &FaultPlan,
-    sim: &mut FabricSim,
+    soak: &mut Soak,
     quiesced: bool,
 ) -> Result<(), String> {
-    let tap = sim
+    let tap = soak
         .take_trace_tap()
         .ok_or_else(|| "harness: replay oracle ran without a record tap".to_string())?;
-    let recorded = fabric_fingerprint(sim);
+    let recorded = sealed_digest(soak)?;
     let bytes = tap
         .finish_bytes(recorded)
         .map_err(|e| format!("harness: trace capture failed: {e}"))?;
 
-    let mut twin = FabricSim::with_faults(fabric_config(cfg), plan)
+    let mut twin = build_soak(cfg, plan)
         .map_err(|e| format!("harness: replay twin construction failed: {e}"))?;
-    #[cfg(feature = "bug-hooks")]
-    if cfg.fabric_stuck_crossing_bug {
-        twin.enable_stuck_crossing_bug();
-    }
     let mut reader = TraceReader::from_bytes(bytes)
         .map_err(|e| format!("recorded trace failed to parse: {e}"))?;
     let outcome = twin
@@ -833,7 +748,7 @@ fn check_replay_fabric(
             "replayed quiescence {twin_quiesced} != recorded {quiesced}"
         ));
     }
-    let replayed = fabric_fingerprint(&twin);
+    let replayed = sealed_digest(&twin)?;
     if replayed != recorded {
         return Err(format!(
             "replayed outcome fingerprint {replayed:016x} != recorded {recorded:016x} \
@@ -1088,9 +1003,9 @@ pub fn shrink_violation(
 /// Replays a reproducer: one full iteration (device oracles included when
 /// the embedded config names a device) on the embedded plan. When the
 /// reproducer carries an embedded traffic trace, it is additionally decoded
-/// and replayed into a fresh twin, and the twin's outcome fingerprint is
-/// checked against the digest the recording run sealed into the trace
-/// footer — a mismatch is reported as an [`OracleKind::Replay`] violation.
+/// and replayed into a fresh twin, and the twin's canonical stats digest is
+/// checked against the one the recording run sealed into the trace footer
+/// — a mismatch is reported as an [`OracleKind::Replay`] violation.
 pub fn replay(repro: &Reproducer) -> IterationOutcome {
     let mut outcome = run_iteration(
         &repro.config,
@@ -1116,37 +1031,18 @@ pub fn replay(repro: &Reproducer) -> IterationOutcome {
 /// reproducers. `None` when the soak cannot be reconstructed under this
 /// plan (the reproducer is still valid without the artifact).
 fn record_soak_trace(cfg: &ChaosConfig, seed: u64, plan: &FaultPlan) -> Option<String> {
-    if cfg.devices >= 2 {
-        let mut sim = FabricSim::with_faults(fabric_config(cfg), plan).ok()?;
-        #[cfg(feature = "bug-hooks")]
-        if cfg.fabric_stuck_crossing_bug {
-            sim.enable_stuck_crossing_bug();
-        }
-        sim.attach_trace_tap(TraceTap::in_memory(&fabric_trace_header(cfg, seed, plan)));
-        submit_fabric_traffic(&mut sim, cfg, seed).ok()?;
-        sim.run_until_quiescent(cfg.soak_cycle_budget);
-        let tap = sim.take_trace_tap()?;
-        let digest = fabric_fingerprint(&sim);
-        tap.finish_bytes(digest).ok().map(|b| to_hex(&b))
-    } else {
-        let mesh_cfg = soak_mesh_config(cfg);
-        let mut rm = ReliableMesh::with_faults(mesh_cfg, plan, cfg.retry).ok()?;
-        #[cfg(feature = "bug-hooks")]
-        if cfg.greedy_reroute_bug {
-            rm.mesh_mut().enable_greedy_reroute_bug();
-        }
-        rm.attach_trace_tap(TraceTap::in_memory(&mesh_trace_header(cfg, seed, plan)));
-        submit_mesh_traffic(&mut rm, cfg, seed).ok()?;
-        rm.run_until_quiescent(cfg.soak_cycle_budget);
-        let tap = rm.take_trace_tap()?;
-        let digest = mesh_fingerprint(&rm);
-        tap.finish_bytes(digest).ok().map(|b| to_hex(&b))
-    }
+    let mut soak = build_soak(cfg, plan).ok()?;
+    soak.attach_trace_tap(TraceTap::in_memory(&trace_header(cfg, seed, plan)));
+    submit_traffic(&mut soak, cfg, seed).ok()?;
+    soak.run_until_quiescent(cfg.soak_cycle_budget);
+    let tap = soak.take_trace_tap()?;
+    let digest = sealed_digest(&soak).ok()?;
+    tap.finish_bytes(digest).ok().map(|b| to_hex(&b))
 }
 
 /// Decodes a reproducer's embedded trace, checks it was recorded against
-/// this plan, replays it into a fresh twin, and compares the twin's outcome
-/// fingerprint with the digest sealed into the trace footer.
+/// this plan, replays it into a fresh twin, and compares the twin's
+/// canonical stats digest with the one sealed into the trace footer.
 fn verify_embedded_trace(cfg: &ChaosConfig, plan: &FaultPlan, hex: &str) -> Result<(), String> {
     let bytes = from_hex(hex).map_err(|e| format!("undecodable hex: {e}"))?;
     let mut reader =
@@ -1159,42 +1055,17 @@ fn verify_embedded_trace(cfg: &ChaosConfig, plan: &FaultPlan, hex: &str) -> Resu
              reproducer carries plan {expected_plan:016x}"
         ));
     }
-    let replayed_digest = if cfg.devices >= 2 {
-        let mut twin = FabricSim::with_faults(fabric_config(cfg), plan)
-            .map_err(|e| format!("twin construction failed: {e}"))?;
-        #[cfg(feature = "bug-hooks")]
-        if cfg.fabric_stuck_crossing_bug {
-            twin.enable_stuck_crossing_bug();
-        }
-        let outcome = twin
-            .replay_from(&mut reader)
-            .map_err(|e| format!("replay failed: {e}"))?;
-        if let Some((chunk, offset)) = outcome.truncated {
-            return Err(format!(
-                "embedded trace is truncated at chunk {chunk}, offset {offset}"
-            ));
-        }
-        twin.run_until_quiescent(cfg.soak_cycle_budget);
-        fabric_fingerprint(&twin)
-    } else {
-        let mesh_cfg = soak_mesh_config(cfg);
-        let mut twin = ReliableMesh::with_faults(mesh_cfg, plan, cfg.retry)
-            .map_err(|e| format!("twin construction failed: {e}"))?;
-        #[cfg(feature = "bug-hooks")]
-        if cfg.greedy_reroute_bug {
-            twin.mesh_mut().enable_greedy_reroute_bug();
-        }
-        let outcome = twin
-            .replay_from(&mut reader)
-            .map_err(|e| format!("replay failed: {e}"))?;
-        if let Some((chunk, offset)) = outcome.truncated {
-            return Err(format!(
-                "embedded trace is truncated at chunk {chunk}, offset {offset}"
-            ));
-        }
-        twin.run_until_quiescent(cfg.soak_cycle_budget);
-        mesh_fingerprint(&twin)
-    };
+    let mut twin = build_soak(cfg, plan).map_err(|e| format!("twin construction failed: {e}"))?;
+    let outcome = twin
+        .replay_from(&mut reader)
+        .map_err(|e| format!("replay failed: {e}"))?;
+    if let Some((chunk, offset)) = outcome.truncated {
+        return Err(format!(
+            "embedded trace is truncated at chunk {chunk}, offset {offset}"
+        ));
+    }
+    twin.run_until_quiescent(cfg.soak_cycle_budget);
+    let replayed_digest = sealed_digest(&twin)?;
     let sealed = reader
         .footer()
         .ok_or_else(|| "trace has no footer".to_string())?
@@ -1345,11 +1216,16 @@ pub fn run_chaos(
     })
 }
 
-/// Replays `seed`'s NoC soak with a flight recorder attached (same config,
-/// plan, and traffic recipe as [`run_iteration`]'s first phase), annotates
+/// Replays `seed`'s soak with a flight recorder attached (same config,
+/// plan, and traffic recipe as [`run_iteration`]'s soak phase), annotates
 /// the seed's oracle violations on the timeline, and writes the
 /// stall-attribution profile to `path` plus a Chrome trace to
 /// `<path>.trace.json`. Returns the trace's cycle window.
+///
+/// A fabric records at the fabric layer: die legs appear as source wait
+/// and final-hop residency, crossings are charged to the `fabric` stall
+/// class, and the profile's router axis is the fabric node id — devices
+/// first, then the switch when the topology has one.
 fn write_profile(
     cfg: &ChaosConfig,
     seed: u64,
@@ -1357,82 +1233,16 @@ fn write_profile(
     violations: &[Violation],
     path: &Path,
 ) -> Result<TraceWindow, ChaosError> {
-    if cfg.devices >= 2 {
-        return write_fabric_profile(cfg, seed, plan, violations, path);
-    }
-    let mesh_cfg = soak_mesh_config(cfg);
-    let mut rm = ReliableMesh::with_faults(mesh_cfg, plan, cfg.retry)
-        .map_err(|e| ChaosError::Config(format!("profile replay: {e}")))?;
-    #[cfg(feature = "bug-hooks")]
-    if cfg.greedy_reroute_bug {
-        rm.mesh_mut().enable_greedy_reroute_bug();
-    }
-    rm.mesh_mut().attach_flight_recorder();
-    for (src, dst, flits, class) in mesh_transfers(cfg, seed) {
-        if rm.submit_checked(src, dst, flits, class).is_err() {
-            break;
-        }
-    }
-    rm.run_until_quiescent(cfg.soak_cycle_budget);
-    let cycles = rm.mesh().cycle();
-    if let Some(rec) = rm.mesh_mut().flight_recorder_mut() {
-        for v in violations {
-            rec.note(
-                gnoc_core::telemetry::TraceEvent::new(cycles, "chaos", "oracle_violation")
-                    .with("oracle", v.oracle.name())
-                    .with("seed", v.seed)
-                    .with("detail", v.detail.clone()),
-            );
-        }
-    }
-    let rec = rm
-        .mesh_mut()
+    let mut soak =
+        build_soak(cfg, plan).map_err(|e| ChaosError::Config(format!("profile replay: {e}")))?;
+    soak.attach_flight_recorder();
+    let _ = submit_traffic(&mut soak, cfg, seed);
+    soak.run_until_quiescent(cfg.soak_cycle_budget);
+    let cycles = soak.cycle();
+    let (columns, rows) = soak.profile_grid();
+    let mut rec = soak
         .take_flight_recorder()
         .expect("recorder attached above");
-    let report = gnoc_core::analysis::profile::ProfileReport::from_recorder(
-        &rec,
-        cfg.width as usize,
-        cfg.height as usize,
-        cycles,
-        5,
-    );
-    std::fs::write(path, report.to_json_pretty()).map_err(|e| ChaosError::Io(e.to_string()))?;
-    let mut trace_name = path.file_name().unwrap_or_default().to_os_string();
-    trace_name.push(".trace.json");
-    let trace_path = path.with_file_name(trace_name);
-    std::fs::write(&trace_path, rec.chrome_trace()).map_err(|e| ChaosError::Io(e.to_string()))?;
-    Ok(TraceWindow {
-        profile: path.display().to_string(),
-        start: 0,
-        end: cycles,
-    })
-}
-
-/// Fabric counterpart of [`write_profile`]: replays `seed`'s fabric soak
-/// with a flight recorder attached to the fabric layer (die legs appear as
-/// source wait and final-hop residency; crossings are charged to the
-/// `fabric` stall class). The profile's router axis is the fabric node id —
-/// devices first, then the switch when the topology has one.
-fn write_fabric_profile(
-    cfg: &ChaosConfig,
-    seed: u64,
-    plan: &FaultPlan,
-    violations: &[Violation],
-    path: &Path,
-) -> Result<TraceWindow, ChaosError> {
-    let fc = fabric_config(cfg);
-    let nodes = fc.topology.node_count(fc.devices) as usize;
-    let mut sim = FabricSim::with_faults(fc, plan)
-        .map_err(|e| ChaosError::Config(format!("profile replay: {e}")))?;
-    #[cfg(feature = "bug-hooks")]
-    if cfg.fabric_stuck_crossing_bug {
-        sim.enable_stuck_crossing_bug();
-    }
-    sim.attach_flight_recorder();
-    let _ = submit_fabric_traffic(&mut sim, cfg, seed);
-    sim.run_until_quiescent(cfg.soak_cycle_budget);
-    let cycles = sim.cycle();
-    let mut rec = sim.take_flight_recorder().expect("recorder attached above");
     for v in violations {
         rec.note(
             gnoc_core::telemetry::TraceEvent::new(cycles, "chaos", "oracle_violation")
@@ -1442,7 +1252,7 @@ fn write_fabric_profile(
         );
     }
     let report =
-        gnoc_core::analysis::profile::ProfileReport::from_recorder(&rec, nodes, 1, cycles, 5);
+        gnoc_core::analysis::profile::ProfileReport::from_recorder(&rec, columns, rows, cycles, 5);
     std::fs::write(path, report.to_json_pretty()).map_err(|e| ChaosError::Io(e.to_string()))?;
     let mut trace_name = path.file_name().unwrap_or_default().to_os_string();
     trace_name.push(".trace.json");

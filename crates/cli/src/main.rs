@@ -18,7 +18,7 @@ use gnoc_core::noc::{ReliableMesh, RetryConfig};
 use gnoc_core::sidechannel::covert::{
     bits_of, bytes_of, channel_snr, transmit, CovertChannelConfig,
 };
-use gnoc_core::soak::{self, ReplayFailure, Seal};
+use gnoc_core::soak::{self, ReplayFailure, Seal, Soak, QUIESCE_BUDGET};
 use gnoc_core::workloads::replay::{replay, ReplayConfig};
 use gnoc_core::workloads::{bfs, gaussian};
 use gnoc_core::{
@@ -342,7 +342,7 @@ fn run(
                     mesh: MeshConfig::paper_6x6(arbiter),
                     seed,
                     transfers,
-                    cycles: 2_000_000,
+                    cycles: QUIESCE_BUDGET,
                     self_heal,
                 };
                 return run_fabric(&args, plan, profile);
@@ -647,24 +647,10 @@ fn run(
                 jsonl,
                 svg,
             };
-            if devices >= 2 {
-                return run_fabric_profile(
-                    devices,
-                    try_or_fail!(parse_topology(&topology)),
-                    width as usize,
-                    height as usize,
-                    arbiter,
-                    seed,
-                    transfers,
-                    slowest,
-                    &outputs,
-                    plan,
-                );
-            }
             return run_profile(
-                width as usize,
-                height as usize,
-                arbiter,
+                devices,
+                &topology,
+                MeshConfig::new(width as usize, height as usize, arbiter),
                 seed,
                 transfers,
                 slowest,
@@ -960,11 +946,16 @@ struct ProfileOutputs {
 /// went, the hottest links, a per-router utilization heatmap, and the
 /// critical path of the slowest transfers. All timestamps are virtual
 /// cycles, so every artifact is bit-identical across runs and `--jobs`.
+///
+/// With `--devices N` the soak is the cross-device fabric stream and the
+/// profile grid is the fabric node graph (one column per device, plus the
+/// switch node when present); fabric-hop serialization shows up as its own
+/// stall class in the attribution.
 #[allow(clippy::too_many_arguments)]
 fn run_profile(
-    width: usize,
-    height: usize,
-    arbiter: ArbiterKind,
+    devices: u32,
+    topology: &str,
+    mesh: MeshConfig,
     seed: u64,
     transfers: usize,
     slowest: usize,
@@ -972,31 +963,48 @@ fn run_profile(
     plan: Option<&FaultPlan>,
     telemetry: &TelemetryHandle,
 ) -> u8 {
-    let cfg = MeshConfig::new(width, height, arbiter);
     let benign = FaultPlan::none();
     let plan = plan.unwrap_or(&benign);
-    let mut rm = try_or_fail!(ReliableMesh::with_faults(cfg, plan, RetryConfig::default())
-        .map_err(|e| format!("plan does not fit a {width}x{height} mesh: {e}")));
-    rm.mesh_mut().set_telemetry(telemetry.clone());
-    rm.mesh_mut().attach_flight_recorder();
-
-    soak::submit_profile_soak(&mut rm, seed, transfers);
-    let quiesced = rm.run_until_quiescent(2_000_000);
-    let cycles = rm.mesh().cycle();
-    let rec = rm
-        .mesh_mut()
+    let mut soak = if devices >= 2 {
+        let topology = try_or_fail!(parse_topology(topology));
+        let mut cfg = FabricConfig::new(devices, topology);
+        cfg.mesh = mesh;
+        let sim = try_or_fail!(FabricSim::with_faults(cfg, plan)
+            .map_err(|e| format!("cannot build the {devices}-device {topology} fabric: {e}")));
+        Soak::Fabric(Box::new(sim))
+    } else {
+        let (width, height) = (mesh.width, mesh.height);
+        let mut rm = try_or_fail!(
+            ReliableMesh::with_faults(mesh, plan, RetryConfig::default())
+                .map_err(|e| format!("plan does not fit a {width}x{height} mesh: {e}"))
+        );
+        rm.mesh_mut().set_telemetry(telemetry.clone());
+        Soak::Mesh(Box::new(rm))
+    };
+    soak.attach_flight_recorder();
+    match &mut soak {
+        Soak::Mesh(rm) => soak::submit_profile_soak(rm, seed, transfers),
+        Soak::Fabric(sim) => {
+            try_or_fail!(soak::submit_fabric_soak(sim, seed, transfers).map_err(|e| e.to_string()))
+        }
+    }
+    let quiesced = soak.run_until_quiescent(QUIESCE_BUDGET);
+    let cycles = soak.cycle();
+    let (columns, rows) = soak.profile_grid();
+    let rec = soak
         .take_flight_recorder()
         .expect("recorder attached above");
 
-    let report = ProfileReport::from_recorder(&rec, width, height, cycles, slowest);
+    let report = ProfileReport::from_recorder(&rec, columns, rows, cycles, slowest);
     print!("{}", report.render_text());
     if let Err(code) = write_profile_outputs(&report, &rec, outputs) {
         return code;
     }
     if !quiesced {
         eprintln!(
-            "error: mesh failed to quiesce (outstanding {})",
-            rm.outstanding()
+            "error: {} failed to quiesce (outstanding {})",
+            soak.name(),
+            soak.outstanding()
         );
         return EXIT_CHECK_FAILED;
     }
@@ -1043,50 +1051,6 @@ fn write_profile_outputs(
         println!("heatmap: {path}");
     }
     Ok(())
-}
-
-/// `gnoc profile --devices N`: flight-record a cross-device fabric soak and
-/// reduce it the same way. The profile grid is the fabric node graph (one
-/// column per device, plus the switch node when present); fabric-hop
-/// serialization shows up as its own stall class in the attribution.
-#[allow(clippy::too_many_arguments)]
-fn run_fabric_profile(
-    devices: u32,
-    topology: FabricTopology,
-    width: usize,
-    height: usize,
-    arbiter: ArbiterKind,
-    seed: u64,
-    transfers: usize,
-    slowest: usize,
-    outputs: &ProfileOutputs,
-    plan: Option<&FaultPlan>,
-) -> u8 {
-    let benign = FaultPlan::none();
-    let plan = plan.unwrap_or(&benign);
-    let mut cfg = FabricConfig::new(devices, topology);
-    cfg.mesh = MeshConfig::new(width, height, arbiter);
-    let mut sim = try_or_fail!(FabricSim::with_faults(cfg, plan)
-        .map_err(|e| format!("cannot build the {devices}-device {topology} fabric: {e}")));
-    sim.attach_flight_recorder();
-    try_or_fail!(soak::submit_fabric_soak(&mut sim, seed, transfers).map_err(|e| e.to_string()));
-    let quiesced = sim.run_until_quiescent(2_000_000);
-    let cycles = sim.cycle();
-    let rec = sim.take_flight_recorder().expect("recorder attached above");
-    let fabric_nodes = topology.node_count(devices) as usize;
-    let report = ProfileReport::from_recorder(&rec, fabric_nodes, 1, cycles, slowest);
-    print!("{}", report.render_text());
-    if let Err(code) = write_profile_outputs(&report, &rec, outputs) {
-        return code;
-    }
-    if !quiesced {
-        eprintln!(
-            "error: fabric failed to quiesce (outstanding {})",
-            sim.outstanding()
-        );
-        return EXIT_CHECK_FAILED;
-    }
-    EXIT_OK
 }
 
 /// `gnoc health`: online fault detection. The `--faults` plan (or an empty
@@ -1228,7 +1192,7 @@ fn run_faulted_mesh(
 
     soak::submit_mesh_soak(&mut rm, seed, transfers);
 
-    let quiesced = rm.run_until_quiescent(2_000_000);
+    let quiesced = rm.run_until_quiescent(QUIESCE_BUDGET);
     let s = rm.stats().clone();
     let m = rm.mesh().stats().clone();
     println!(
@@ -1535,7 +1499,15 @@ fn record_trace(
 ) -> u8 {
     let plan_fnv = trace_digest::plan_digest(plan);
     let benign = FaultPlan::none();
-    match target {
+    let create_tap = |header: &TraceHeader| {
+        TraceTap::to_file(out, header)
+            .map_err(|e| format!("cannot create trace {}: {e}", out.display()))
+    };
+    let finish_tap = |tap: TraceTap, line: &str| {
+        tap.finish_file(trace_digest::line_digest(line))
+            .map_err(|e| format!("cannot finalize trace {}: {e}", out.display()))
+    };
+    let (mut soak, budget) = match target {
         TraceTarget::Mesh { seed, transfers } => {
             // Exactly the `gnoc mesh --faults` soak (paper 6x6, round-robin,
             // default retry policy), with the tap recording each submission.
@@ -1547,11 +1519,7 @@ fn record_trace(
                 *transfers as u64,
                 plan_fnv,
             );
-            let tap = try_or_fail!(
-                TraceTap::to_file(out, &header)
-                    .map_err(|e| format!("cannot create trace {}: {e}", out.display())),
-                EXIT_IO
-            );
+            let tap = try_or_fail!(create_tap(&header), EXIT_IO);
             let mut rm = try_or_fail!(ReliableMesh::with_faults(
                 cfg,
                 plan.unwrap_or(&benign),
@@ -1561,16 +1529,7 @@ fn record_trace(
             rm.mesh_mut().set_telemetry(telemetry.clone());
             rm.attach_trace_tap(tap);
             soak::submit_mesh_soak(&mut rm, *seed, *transfers);
-            let quiesced = rm.run_until_quiescent(2_000_000);
-            let line = try_or_fail!(trace_digest::mesh_stats_line(&rm));
-            let tap = rm.take_trace_tap().expect("tap attached above");
-            let events = tap.events();
-            try_or_fail!(
-                tap.finish_file(trace_digest::line_digest(&line))
-                    .map_err(|e| format!("cannot finalize trace {}: {e}", out.display())),
-                EXIT_IO
-            );
-            finish_recording("mesh", out, events, &line, stats_out, quiesced)
+            (Soak::Mesh(Box::new(rm)), QUIESCE_BUDGET)
         }
         TraceTarget::Fabric {
             devices,
@@ -1596,27 +1555,14 @@ fn record_trace(
                 *transfers as u64,
                 plan_fnv,
             );
-            let tap = try_or_fail!(
-                TraceTap::to_file(out, &header)
-                    .map_err(|e| format!("cannot create trace {}: {e}", out.display())),
-                EXIT_IO
-            );
+            let tap = try_or_fail!(create_tap(&header), EXIT_IO);
             let mut sim = try_or_fail!(FabricSim::with_faults(cfg, plan.unwrap_or(&benign))
                 .map_err(|e| format!("cannot build the {devices}-device {topology} fabric: {e}")));
             sim.attach_trace_tap(tap);
             try_or_fail!(
                 soak::submit_fabric_soak(&mut sim, *seed, *transfers).map_err(|e| e.to_string())
             );
-            let quiesced = sim.run_until_quiescent(*cycles);
-            let line = try_or_fail!(trace_digest::fabric_stats_line(&sim));
-            let tap = sim.take_trace_tap().expect("tap attached above");
-            let events = tap.events();
-            try_or_fail!(
-                tap.finish_file(trace_digest::line_digest(&line))
-                    .map_err(|e| format!("cannot finalize trace {}: {e}", out.display())),
-                EXIT_IO
-            );
-            finish_recording("fabric", out, events, &line, stats_out, quiesced)
+            (Soak::Fabric(Box::new(sim)), *cycles)
         }
         TraceTarget::Campaign {
             gpu,
@@ -1634,11 +1580,7 @@ fn record_trace(
             };
             let header =
                 TraceHeader::campaign(preset, *seed, *lines as u32, *samples as u32, plan_fnv);
-            let tap = try_or_fail!(
-                TraceTap::to_file(out, &header)
-                    .map_err(|e| format!("cannot create trace {}: {e}", out.display())),
-                EXIT_IO
-            );
+            let tap = try_or_fail!(create_tap(&header), EXIT_IO);
             let mut campaign =
                 try_or_fail!(
                     CheckpointedCampaign::new(preset, *seed, probe, plan.cloned())
@@ -1647,14 +1589,16 @@ fn record_trace(
             campaign.set_telemetry(telemetry.clone());
             let result = try_or_fail!(campaign.run_to_completion(None).map_err(|e| e.to_string()));
             let line = trace_digest::campaign_stats_line(preset, &result);
-            try_or_fail!(
-                tap.finish_file(trace_digest::line_digest(&line))
-                    .map_err(|e| format!("cannot finalize trace {}: {e}", out.display())),
-                EXIT_IO
-            );
-            finish_recording("campaign", out, 0, &line, stats_out, true)
+            try_or_fail!(finish_tap(tap, &line), EXIT_IO);
+            return finish_recording("campaign", out, 0, &line, stats_out, true);
         }
-    }
+    };
+    let quiesced = soak.run_until_quiescent(budget);
+    let line = try_or_fail!(soak.stats_line());
+    let tap = soak.take_trace_tap().expect("tap attached above");
+    let events = tap.events();
+    try_or_fail!(finish_tap(tap, &line), EXIT_IO);
+    finish_recording(soak.name(), out, events, &line, stats_out, quiesced)
 }
 
 fn finish_recording(

@@ -1,26 +1,201 @@
-//! The seeded soaks every front end runs, and the one trace-replay verdict.
+//! The seeded soaks every front end runs, the simulator they run on, and
+//! the one trace-replay verdict.
 //!
 //! `gnoc mesh --faults`, `gnoc fabric`, `gnoc profile`, `gnoc trace`, the
 //! daemon's jobs, and the benches all drive the same traffic from the same
 //! seed, so the streams live here once: "daemon result == one-shot result"
 //! holds because both call the same function, not because two copies were
-//! kept in step. Likewise [`replay`] is the single path from a trace
-//! artifact to a verdict; front ends only format it.
+//! kept in step. [`Soak`] is the single-die mesh or the multi-device fabric
+//! a soak runs on, so the lifecycle around a stream (tap, record, run,
+//! digest, profile) is written once for both. Likewise [`replay`] is the
+//! single path from a trace artifact to a verdict; front ends only format
+//! it.
 
 use crate::trace_digest;
 use crate::{CheckpointedCampaign, LatencyCampaign};
 use gnoc_fabric::{FabricConfig, FabricError, FabricSim};
 use gnoc_faults::FaultPlan;
 use gnoc_microbench::LatencyProbe;
-use gnoc_noc::{ArbiterKind, MeshConfig, NodeId, PacketClass, ReliableMesh, RetryConfig};
-use gnoc_telemetry::TelemetryHandle;
+use gnoc_noc::{
+    ArbiterKind, MeshConfig, NodeId, PacketClass, ReliableMesh, RetryConfig, TransferOutcome,
+};
+use gnoc_telemetry::{FlightRecorder, TelemetryHandle};
 use gnoc_topo::hash::SplitMix64;
 use gnoc_topo::FabricTopology;
-use gnoc_trace::{validate_stream, ReplayError, TraceKind, TraceReader};
+use gnoc_trace::{validate_stream, ReplayError, ReplayOutcome, TraceKind, TraceReader, TraceTap};
 use std::io::Read;
 
-/// Cycle budget a replay twin gets to quiesce after its last event.
-const REPLAY_QUIESCE_BUDGET: u64 = 2_000_000;
+/// Cycle budget the CLI soaks, the daemon's jobs, and replay twins give a
+/// run to quiesce.
+pub const QUIESCE_BUDGET: u64 = 2_000_000;
+
+/// The simulator a soak runs on: one reliable die mesh, or the
+/// multi-device fabric. Every caller picks it at run time (device count,
+/// trace kind, record target), and the lifecycle around a soak is the same
+/// on both, so it is an enum. Submission streams stay with the concrete
+/// types: a caller matches once to submit, then drives the soak through
+/// these methods. Both variants are boxed: the two simulators differ in
+/// size by hundreds of bytes, and a soak is built once per run.
+#[derive(Debug)]
+pub enum Soak {
+    /// A single die: the reliable layer over one mesh.
+    Mesh(Box<ReliableMesh>),
+    /// Several dies joined by the inter-device fabric.
+    Fabric(Box<FabricSim>),
+}
+
+impl Soak {
+    /// `"mesh"` or `"fabric"`, as front ends name the run.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        match self {
+            Self::Mesh(_) => "mesh",
+            Self::Fabric(_) => "fabric",
+        }
+    }
+
+    /// Runs until every transfer resolves or `max_cycles` pass; `true` when
+    /// the run quiesced.
+    pub fn run_until_quiescent(&mut self, max_cycles: u64) -> bool {
+        match self {
+            Self::Mesh(rm) => rm.run_until_quiescent(max_cycles),
+            Self::Fabric(sim) => sim.run_until_quiescent(max_cycles),
+        }
+    }
+
+    /// The current simulation cycle.
+    #[must_use]
+    pub fn cycle(&self) -> u64 {
+        match self {
+            Self::Mesh(rm) => rm.mesh().cycle(),
+            Self::Fabric(sim) => sim.cycle(),
+        }
+    }
+
+    /// Transfers not yet resolved.
+    #[must_use]
+    pub fn outstanding(&self) -> usize {
+        match self {
+            Self::Mesh(rm) => rm.outstanding(),
+            Self::Fabric(sim) => sim.outstanding(),
+        }
+    }
+
+    /// Attaches a record tap that captures every later submission.
+    pub fn attach_trace_tap(&mut self, tap: TraceTap) {
+        match self {
+            Self::Mesh(rm) => rm.attach_trace_tap(tap),
+            Self::Fabric(sim) => sim.attach_trace_tap(tap),
+        }
+    }
+
+    /// Detaches the record tap for finalization.
+    pub fn take_trace_tap(&mut self) -> Option<TraceTap> {
+        match self {
+            Self::Mesh(rm) => rm.take_trace_tap(),
+            Self::Fabric(sim) => sim.take_trace_tap(),
+        }
+    }
+
+    /// Replays a recorded submission stream into this soak (see
+    /// [`ReliableMesh::replay_from`] and [`FabricSim::replay_from`]).
+    ///
+    /// # Errors
+    ///
+    /// The simulator's [`ReplayError`].
+    pub fn replay_from<R: Read>(
+        &mut self,
+        reader: &mut TraceReader<R>,
+    ) -> Result<ReplayOutcome, ReplayError> {
+        match self {
+            Self::Mesh(rm) => rm.replay_from(reader),
+            Self::Fabric(sim) => sim.replay_from(reader),
+        }
+    }
+
+    /// Attaches a flight recorder: to the die mesh for a mesh, to the
+    /// fabric layer for a fabric.
+    pub fn attach_flight_recorder(&mut self) {
+        match self {
+            Self::Mesh(rm) => rm.mesh_mut().attach_flight_recorder(),
+            Self::Fabric(sim) => sim.attach_flight_recorder(),
+        }
+    }
+
+    /// Detaches the flight recorder.
+    pub fn take_flight_recorder(&mut self) -> Option<Box<FlightRecorder>> {
+        match self {
+            Self::Mesh(rm) => rm.mesh_mut().take_flight_recorder(),
+            Self::Fabric(sim) => sim.take_flight_recorder(),
+        }
+    }
+
+    /// The grid a flight-recorder profile is laid out on: the die's
+    /// `width x height`, or one row of fabric nodes (devices, then the
+    /// switch when the topology has one).
+    #[must_use]
+    pub fn profile_grid(&self) -> (usize, usize) {
+        match self {
+            Self::Mesh(rm) => {
+                let cfg = rm.mesh().config();
+                (cfg.width, cfg.height)
+            }
+            Self::Fabric(sim) => {
+                let cfg = sim.config();
+                (cfg.topology.node_count(cfg.devices) as usize, 1)
+            }
+        }
+    }
+
+    /// The canonical stats line a trace footer seals (through
+    /// [`trace_digest::line_digest`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates stats serialization failure (practically unreachable).
+    pub fn stats_line(&self) -> Result<String, String> {
+        match self {
+            Self::Mesh(rm) => trace_digest::mesh_stats_line(rm),
+            Self::Fabric(sim) => trace_digest::fabric_stats_line(sim),
+        }
+    }
+
+    /// Every transfer's outcome, in submission order.
+    #[must_use]
+    pub fn outcomes(&self) -> Vec<TransferOutcome> {
+        match self {
+            Self::Mesh(rm) => rm.outcomes(),
+            Self::Fabric(sim) => sim.outcomes(),
+        }
+    }
+
+    /// Transfers submitted.
+    #[must_use]
+    pub fn submitted(&self) -> u64 {
+        match self {
+            Self::Mesh(rm) => rm.stats().submitted,
+            Self::Fabric(sim) => sim.stats().submitted,
+        }
+    }
+
+    /// Transfers delivered.
+    #[must_use]
+    pub fn delivered(&self) -> u64 {
+        match self {
+            Self::Mesh(rm) => rm.stats().delivered,
+            Self::Fabric(sim) => sim.stats().delivered,
+        }
+    }
+
+    /// Transfers lost, any reason.
+    #[must_use]
+    pub fn lost(&self) -> u64 {
+        match self {
+            Self::Mesh(rm) => rm.stats().lost_total(),
+            Self::Fabric(sim) => sim.stats().lost_total(),
+        }
+    }
+}
 
 /// The `gnoc mesh` soak: `transfers` single-flit requests between
 /// uniform-random distinct nodes, drawn from the splitmix64 stream `seed`.
@@ -216,29 +391,25 @@ pub fn replay<R: Read>(
         ArbiterKind::RoundRobin,
     );
     let (events, truncated, line) = match header.kind {
-        TraceKind::Mesh => {
-            let mut rm = ReliableMesh::with_faults(
-                mesh_cfg,
-                plan.unwrap_or(&benign),
-                RetryConfig::default(),
-            )
-            .map_err(|e| setup("mesh setup", e))?;
-            rm.mesh_mut().set_telemetry(telemetry.clone());
-            let outcome = rm.replay_from(reader).map_err(ReplayFailure::Stream)?;
-            rm.run_until_quiescent(REPLAY_QUIESCE_BUDGET);
-            let line = trace_digest::mesh_stats_line(&rm).map_err(ReplayFailure::Stats)?;
-            (outcome.replayed, outcome.truncated, line)
-        }
-        TraceKind::Fabric => {
-            let topo = FabricTopology::parse(&header.topology)
-                .ok_or_else(|| ReplayFailure::UnknownTopology(header.topology.clone()))?;
-            let mut cfg = FabricConfig::new(header.devices, topo);
-            cfg.mesh = mesh_cfg;
-            let mut sim = FabricSim::with_faults(cfg, plan.unwrap_or(&benign))
-                .map_err(|e| setup("fabric setup", e))?;
-            let outcome = sim.replay_from(reader).map_err(ReplayFailure::Stream)?;
-            sim.run_until_quiescent(REPLAY_QUIESCE_BUDGET);
-            let line = trace_digest::fabric_stats_line(&sim).map_err(ReplayFailure::Stats)?;
+        TraceKind::Mesh | TraceKind::Fabric => {
+            let plan = plan.unwrap_or(&benign);
+            let mut soak = if header.kind == TraceKind::Mesh {
+                let mut rm = ReliableMesh::with_faults(mesh_cfg, plan, RetryConfig::default())
+                    .map_err(|e| setup("mesh setup", e))?;
+                rm.mesh_mut().set_telemetry(telemetry.clone());
+                Soak::Mesh(Box::new(rm))
+            } else {
+                let topo = FabricTopology::parse(&header.topology)
+                    .ok_or_else(|| ReplayFailure::UnknownTopology(header.topology.clone()))?;
+                let mut cfg = FabricConfig::new(header.devices, topo);
+                cfg.mesh = mesh_cfg;
+                let sim =
+                    FabricSim::with_faults(cfg, plan).map_err(|e| setup("fabric setup", e))?;
+                Soak::Fabric(Box::new(sim))
+            };
+            let outcome = soak.replay_from(reader).map_err(ReplayFailure::Stream)?;
+            soak.run_until_quiescent(QUIESCE_BUDGET);
+            let line = soak.stats_line().map_err(ReplayFailure::Stats)?;
             (outcome.replayed, outcome.truncated, line)
         }
         TraceKind::Campaign => {
@@ -293,7 +464,7 @@ mod tests {
         .unwrap();
         rm.attach_trace_tap(TraceTap::in_memory(&TraceHeader::mesh(6, 6, 3, 50, 0)));
         submit_mesh_soak(&mut rm, 3, 50);
-        assert!(rm.run_until_quiescent(REPLAY_QUIESCE_BUDGET));
+        assert!(rm.run_until_quiescent(QUIESCE_BUDGET));
         let line = trace_digest::mesh_stats_line(&rm).unwrap();
         let sealed = seal.unwrap_or_else(|| trace_digest::line_digest(&line));
         let bytes = rm.take_trace_tap().unwrap().finish_bytes(sealed).unwrap();

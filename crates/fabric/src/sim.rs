@@ -432,49 +432,23 @@ impl FabricSim {
         &mut self,
         reader: &mut gnoc_trace::TraceReader<R>,
     ) -> Result<gnoc_trace::ReplayOutcome, gnoc_trace::ReplayError> {
-        use gnoc_trace::{ReplayError, ReplayOutcome, TraceError};
-        let mut replayed = 0u64;
-        loop {
-            match reader.next_event() {
-                Ok(Some(ev)) => {
-                    let class = PacketClass::from_trace_code(ev.class).ok_or_else(|| {
-                        ReplayError::Event {
-                            index: replayed,
-                            reason: format!("unknown packet class {}", ev.class),
-                        }
-                    })?;
-                    while self.now < ev.cycle {
-                        self.step();
-                    }
-                    self.submit(
-                        ev.src_dev,
-                        NodeId::new(ev.src),
-                        ev.dst_dev,
-                        NodeId::new(ev.dst),
-                        ev.flits,
-                        class,
-                    )
-                    .map_err(|e| ReplayError::Event {
-                        index: replayed,
-                        reason: e.to_string(),
-                    })?;
-                    replayed += 1;
-                }
-                Ok(None) => {
-                    return Ok(ReplayOutcome {
-                        replayed,
-                        truncated: None,
-                    })
-                }
-                Err(TraceError::TruncatedTail { chunk, offset }) => {
-                    return Ok(ReplayOutcome {
-                        replayed,
-                        truncated: Some((chunk, offset)),
-                    })
-                }
-                Err(e) => return Err(ReplayError::Trace(e)),
+        reader.replay(|ev| {
+            let class = PacketClass::from_trace_code(ev.class)
+                .ok_or_else(|| format!("unknown packet class {}", ev.class))?;
+            while self.now < ev.cycle {
+                self.step();
             }
-        }
+            self.submit(
+                ev.src_dev,
+                NodeId::new(ev.src),
+                ev.dst_dev,
+                NodeId::new(ev.dst),
+                ev.flits,
+                class,
+            )
+            .map(drop)
+            .map_err(|e| e.to_string())
+        })
     }
 
     /// Submits a transfer from `(src_dev, src)` to `(dst_dev, dst)`.

@@ -378,19 +378,6 @@ impl MeshStats {
     }
 }
 
-/// Slot for the workload record tap. A tap has exactly one owner — it is a
-/// streaming file handle — so cloning a mesh (golden twins, differential
-/// oracles) detaches the tap in the clone rather than double-writing the
-/// trace.
-#[derive(Debug, Default)]
-struct TapSlot(Option<Box<gnoc_trace::TraceTap>>);
-
-impl Clone for TapSlot {
-    fn clone(&self) -> Self {
-        Self(None)
-    }
-}
-
 /// A cycle-level 2D mesh.
 #[derive(Debug, Clone)]
 pub struct Mesh {
@@ -437,10 +424,6 @@ pub struct Mesh {
     /// by default so unprofiled runs pay one pointer of state and a handful
     /// of `is_some` branches per cycle.
     recorder: Option<Box<FlightRecorder>>,
-    /// Workload record tap (`gnoc-trace`): observes every successful
-    /// injection. Like the flight recorder it cannot influence the
-    /// simulation, so tapped runs stay byte-identical to bare ones.
-    trace_tap: TapSlot,
     /// Self-healing mode: fault onsets do *not* recompute the next-hop
     /// tables (the mesh is not told about its faults); packets routed into a
     /// dead link are dropped at the transmit side and counted per-link, so
@@ -510,7 +493,6 @@ impl Mesh {
             occupancy: 0,
             quiet_until: 0,
             recorder: None,
-            trace_tap: TapSlot(None),
             self_heal: false,
             #[cfg(feature = "bug-hooks")]
             greedy_routing: false,
@@ -907,98 +889,6 @@ impl Mesh {
         self.recorder.take()
     }
 
-    /// Attaches a workload record tap: every subsequent successful
-    /// injection is appended to the trace (retransmissions included when a
-    /// reliability layer drives this mesh — tap the [`crate::ReliableMesh`]
-    /// instead to capture logical transfers once).
-    pub fn attach_trace_tap(&mut self, tap: gnoc_trace::TraceTap) {
-        self.trace_tap = TapSlot(Some(Box::new(tap)));
-    }
-
-    /// The attached workload record tap, if any.
-    pub fn trace_tap(&self) -> Option<&gnoc_trace::TraceTap> {
-        self.trace_tap.0.as_deref()
-    }
-
-    /// Detaches and returns the workload record tap for finalization.
-    pub fn take_trace_tap(&mut self) -> Option<gnoc_trace::TraceTap> {
-        self.trace_tap.0.take().map(|b| *b)
-    }
-
-    /// Replays a recorded injection stream: steps the mesh to each event's
-    /// recorded cycle and re-injects it. On a mesh built from the trace
-    /// header's configuration and plan this reproduces the recorded run bit
-    /// for bit. A truncated trace replays its complete prefix and reports
-    /// the truncation in [`gnoc_trace::ReplayOutcome::truncated`].
-    ///
-    /// # Errors
-    ///
-    /// [`gnoc_trace::ReplayError::Trace`] on a corrupt stream;
-    /// [`gnoc_trace::ReplayError::Event`] when an event does not fit this
-    /// mesh (non-zero device, node out of range, full injection buffer) —
-    /// never a panic.
-    pub fn replay_from<R: std::io::Read>(
-        &mut self,
-        reader: &mut gnoc_trace::TraceReader<R>,
-    ) -> Result<gnoc_trace::ReplayOutcome, gnoc_trace::ReplayError> {
-        use gnoc_trace::{ReplayError, ReplayOutcome, TraceError};
-        let mut replayed = 0u64;
-        loop {
-            match reader.next_event() {
-                Ok(Some(ev)) => {
-                    let fail = |reason: String| ReplayError::Event {
-                        index: replayed,
-                        reason,
-                    };
-                    if ev.src_dev != 0 || ev.dst_dev != 0 {
-                        return Err(fail(format!(
-                            "mesh replay saw device ({}, {}) — a fabric trace?",
-                            ev.src_dev, ev.dst_dev
-                        )));
-                    }
-                    let n = self.cfg.num_nodes() as u32;
-                    if ev.src >= n || ev.dst >= n {
-                        return Err(fail(format!(
-                            "node ({}, {}) out of range for {} terminals",
-                            ev.src, ev.dst, n
-                        )));
-                    }
-                    let class = PacketClass::from_trace_code(ev.class)
-                        .ok_or_else(|| fail(format!("unknown packet class {}", ev.class)))?;
-                    while self.cycle < ev.cycle {
-                        self.step();
-                    }
-                    if !self.try_inject_with_birth(
-                        NodeId::new(ev.src),
-                        NodeId::new(ev.dst),
-                        ev.flits,
-                        class,
-                        ev.cycle,
-                    ) {
-                        return Err(fail(format!(
-                            "injection buffer at node {} full at cycle {}",
-                            ev.src, ev.cycle
-                        )));
-                    }
-                    replayed += 1;
-                }
-                Ok(None) => {
-                    return Ok(ReplayOutcome {
-                        replayed,
-                        truncated: None,
-                    })
-                }
-                Err(TraceError::TruncatedTail { chunk, offset }) => {
-                    return Ok(ReplayOutcome {
-                        replayed,
-                        truncated: Some((chunk, offset)),
-                    })
-                }
-                Err(e) => return Err(ReplayError::Trace(e)),
-            }
-        }
-    }
-
     /// Attempts to inject a packet at `src`; returns `false` when the local
     /// input buffer is full (the terminal must retry later).
     pub fn try_inject(&mut self, src: NodeId, dst: NodeId, flits: u32, class: PacketClass) -> bool {
@@ -1054,17 +944,6 @@ impl Mesh {
         self.occupancy += 1;
         self.quiet_until = self.cycle;
         self.stats.injected_by_src[src.index()] += 1;
-        if let Some(tap) = self.trace_tap.0.as_deref_mut() {
-            tap.record(&gnoc_trace::TraceEvent {
-                cycle: birth,
-                src_dev: 0,
-                src: src.index() as u32,
-                dst_dev: 0,
-                dst: dst.index() as u32,
-                flits,
-                class: class.trace_code(),
-            });
-        }
         if let Some(rec) = self.recorder.as_deref_mut() {
             rec.on_inject(
                 id,

@@ -18,8 +18,7 @@ use crate::packet::{NodeId, Packet, PacketClass};
 use gnoc_faults::FaultPlan;
 use gnoc_telemetry::{MetricRegistry, TraceEvent, SUBSYSTEM_NOC};
 use gnoc_trace::{
-    BuildFmix64, ReplayError, ReplayOutcome, TraceError, TraceEvent as TapEvent, TraceReader,
-    TraceTap,
+    BuildFmix64, ReplayError, ReplayOutcome, TraceEvent as TapEvent, TraceReader, TraceTap,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -415,50 +414,22 @@ impl ReliableMesh {
         &mut self,
         reader: &mut TraceReader<R>,
     ) -> Result<ReplayOutcome, ReplayError> {
-        let mut replayed = 0u64;
-        loop {
-            match reader.next_event() {
-                Ok(Some(ev)) => {
-                    if ev.src_dev != 0 || ev.dst_dev != 0 {
-                        return Err(ReplayError::Event {
-                            index: replayed,
-                            reason: format!(
-                                "mesh replay saw device ({}, {}) — a fabric trace?",
-                                ev.src_dev, ev.dst_dev
-                            ),
-                        });
-                    }
-                    while self.mesh.cycle() < ev.cycle {
-                        self.step();
-                    }
-                    let class = PacketClass::from_trace_code(ev.class).ok_or_else(|| {
-                        ReplayError::Event {
-                            index: replayed,
-                            reason: format!("unknown packet class {}", ev.class),
-                        }
-                    })?;
-                    self.submit_checked(NodeId::new(ev.src), NodeId::new(ev.dst), ev.flits, class)
-                        .map_err(|e| ReplayError::Event {
-                            index: replayed,
-                            reason: e.to_string(),
-                        })?;
-                    replayed += 1;
-                }
-                Ok(None) => {
-                    return Ok(ReplayOutcome {
-                        replayed,
-                        truncated: None,
-                    })
-                }
-                Err(TraceError::TruncatedTail { chunk, offset }) => {
-                    return Ok(ReplayOutcome {
-                        replayed,
-                        truncated: Some((chunk, offset)),
-                    })
-                }
-                Err(e) => return Err(ReplayError::Trace(e)),
+        reader.replay(|ev| {
+            if ev.src_dev != 0 || ev.dst_dev != 0 {
+                return Err(format!(
+                    "mesh replay saw device ({}, {}) — a fabric trace?",
+                    ev.src_dev, ev.dst_dev
+                ));
             }
-        }
+            while self.mesh.cycle() < ev.cycle {
+                self.step();
+            }
+            let class = PacketClass::from_trace_code(ev.class)
+                .ok_or_else(|| format!("unknown packet class {}", ev.class))?;
+            self.submit_checked(NodeId::new(ev.src), NodeId::new(ev.dst), ev.flits, class)
+                .map(drop)
+                .map_err(|e| e.to_string())
+        })
     }
 
     /// Current state of a transfer.

@@ -175,7 +175,7 @@ fn run_mesh(seed: u64, transfers: usize, plan: Option<&FaultPlan>) -> ExecOutcom
         Err(e) => return fail(format!("mesh setup: {e}")),
     };
     soak::submit_mesh_soak(&mut rm, seed, transfers);
-    let quiesced = rm.run_until_quiescent(2_000_000);
+    let quiesced = rm.run_until_quiescent(soak::QUIESCE_BUDGET);
     if !quiesced {
         return fail(format!(
             "mesh failed to quiesce (outstanding {})",
@@ -251,7 +251,7 @@ fn run_fabric_job(devices: u32, topology: &str, seed: u64, transfers: usize) -> 
     if let Err(e) = soak::submit_fabric_soak(&mut sim, seed, transfers) {
         return fail(format!("fabric submit: {e}"));
     }
-    let quiesced = sim.run_until_quiescent(2_000_000);
+    let quiesced = sim.run_until_quiescent(soak::QUIESCE_BUDGET);
     if !quiesced {
         return fail(format!(
             "fabric failed to quiesce (outstanding {})",

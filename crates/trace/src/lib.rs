@@ -1133,6 +1133,49 @@ impl From<TraceError> for ReplayError {
     }
 }
 
+impl<R: Read> TraceReader<R> {
+    /// The one replay loop every simulator's driver runs: hands each
+    /// remaining event to `apply` in order and counts the ones it takes.
+    /// A truncated tail ends the replay with the complete prefix driven
+    /// and the break point in [`ReplayOutcome::truncated`].
+    ///
+    /// # Errors
+    ///
+    /// [`ReplayError::Trace`] on a corrupt or unreadable stream;
+    /// [`ReplayError::Event`] carrying the event's index and `apply`'s
+    /// reason when `apply` refuses an event.
+    pub fn replay(
+        &mut self,
+        mut apply: impl FnMut(TraceEvent) -> Result<(), String>,
+    ) -> Result<ReplayOutcome, ReplayError> {
+        let mut replayed = 0u64;
+        loop {
+            match self.next_event() {
+                Ok(Some(ev)) => {
+                    apply(ev).map_err(|reason| ReplayError::Event {
+                        index: replayed,
+                        reason,
+                    })?;
+                    replayed += 1;
+                }
+                Ok(None) => {
+                    return Ok(ReplayOutcome {
+                        replayed,
+                        truncated: None,
+                    })
+                }
+                Err(TraceError::TruncatedTail { chunk, offset }) => {
+                    return Ok(ReplayOutcome {
+                        replayed,
+                        truncated: Some((chunk, offset)),
+                    })
+                }
+                Err(e) => return Err(ReplayError::Trace(e)),
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Validation
 // ---------------------------------------------------------------------------
